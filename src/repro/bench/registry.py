@@ -16,7 +16,10 @@ Each benchmark builds its system-under-test from fixed seeds inside
 * ``campaign_fanout`` — campaign plumbing (name expansion + artifact
   aggregation), no experiments executed,
 * ``exec_time_protocol`` — the chunked execution-time protocol on the
-  Fig 12 workload shape (the retired ``tools/bench_exec_time.py``).
+  Fig 12 workload shape (the retired ``tools/bench_exec_time.py``),
+* ``replay_setassoc`` — one McSimA+-style replay of a gcc capture through
+  the set-associative L1/L2/LLC hierarchy, bypassing the replay
+  service's memo so the simulator's per-access speed stays guarded.
 
 Workload sizes target ~0.1-0.5 s per sample on a developer machine:
 long enough for stable medians, short enough that the whole suite runs
@@ -344,6 +347,27 @@ def _exec_time_body(built) -> float:
     return round(execution_time_sec(built.system, built.vm("povray-a")), 6)
 
 
+# -- trace replay ------------------------------------------------------------
+
+
+def _replay_setup():
+    from repro.mcsim.pin import PinTool
+
+    return PinTool().capture(application_workload("gcc"))
+
+
+def _replay_body(records) -> List[Any]:
+    from repro.mcsim.replay import McSimReplayer
+
+    report = McSimReplayer().replay(records)
+    return [
+        report.instructions,
+        repr(report.cycles),
+        report.llc_accesses,
+        report.llc_misses,
+    ]
+
+
 #: The catalogue, in canonical run order.
 BENCHMARKS: Tuple[Benchmark, ...] = (
     _tick_loop_benchmark(2, 600),
@@ -403,6 +427,15 @@ BENCHMARKS: Tuple[Benchmark, ...] = (
         ),
         setup=_exec_time_setup,
         body=_exec_time_body,
+    ),
+    Benchmark(
+        name="replay_setassoc",
+        description=(
+            "trace replay: one 60k-access gcc capture through the "
+            "set-associative L1/L2/LLC hierarchy (no service memo)"
+        ),
+        setup=_replay_setup,
+        body=_replay_body,
     ),
 )
 

@@ -28,7 +28,7 @@ from .replacement import (
     SetState,
     make_policy,
 )
-from .setassoc import AccessResult, CacheLine, NO_OWNER, SetAssociativeCache
+from .setassoc import AccessResult, NO_OWNER, SetAssociativeCache
 from .stats import AccessStats, CacheStats
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "BipPolicy",
     "CacheBehavior",
     "CacheHierarchy",
-    "CacheLine",
     "CacheStats",
     "DipPolicy",
     "HierarchyAccess",

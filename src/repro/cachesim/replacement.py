@@ -9,7 +9,8 @@ the choice of policy changes contention.
 
 A policy manages *per-set* recency state.  Way indices are positions in
 the set's way array; the cache calls :meth:`on_hit`, :meth:`on_fill` and
-:meth:`victim`.
+:meth:`victim`, always with the index of the set involved, so set-dueling
+policies (DIP) need no special treatment from the cache.
 """
 
 from __future__ import annotations
@@ -38,21 +39,34 @@ class SetState:
 
 
 class ReplacementPolicy(ABC):
-    """Interface implemented by every replacement policy."""
+    """Interface implemented by every replacement policy.
+
+    The cache calls :meth:`assign_set_roles` once at construction, then
+    per access :meth:`on_hit`, or :meth:`record_miss` followed (when the
+    set is full) by :meth:`victim` and then :meth:`on_fill`.  Before
+    :meth:`on_fill` the cache has already dropped an evicted or flushed
+    way from ``state.recency``, so a filled way is never in it.
+    """
 
     name: str = "abstract"
 
     @abstractmethod
-    def on_hit(self, state: SetState, way: int) -> None:
-        """Update metadata after a hit on ``way``."""
+    def on_hit(self, state: SetState, way: int, set_index: int) -> None:
+        """Update metadata after a hit on ``way`` of set ``set_index``."""
 
     @abstractmethod
-    def on_fill(self, state: SetState, way: int) -> None:
-        """Update metadata after filling ``way`` with a new line."""
+    def on_fill(self, state: SetState, way: int, set_index: int) -> None:
+        """Update metadata after filling the empty ``way`` with a new line."""
 
     @abstractmethod
-    def victim(self, state: SetState, associativity: int) -> int:
-        """Pick the way to evict from a full set."""
+    def victim(self, state: SetState, associativity: int, set_index: int) -> int:
+        """Pick the way to evict from the full set ``set_index``."""
+
+    def record_miss(self, set_index: int) -> None:
+        """Called by the cache on every miss (before any eviction)."""
+
+    def assign_set_roles(self, num_sets: int) -> None:
+        """Called once by the cache with its number of sets."""
 
     def make_set_state(self, associativity: int) -> SetState:
         """Create fresh per-set metadata."""
@@ -64,16 +78,16 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def on_hit(self, state: SetState, way: int) -> None:
-        state.recency.remove(way)
+    def on_hit(self, state: SetState, way: int, set_index: int) -> None:
+        recency = state.recency
+        if recency[0] != way:
+            recency.remove(way)
+            recency.insert(0, way)
+
+    def on_fill(self, state: SetState, way: int, set_index: int) -> None:
         state.recency.insert(0, way)
 
-    def on_fill(self, state: SetState, way: int) -> None:
-        if way in state.recency:
-            state.recency.remove(way)
-        state.recency.insert(0, way)
-
-    def victim(self, state: SetState, associativity: int) -> int:
+    def victim(self, state: SetState, associativity: int, set_index: int) -> int:
         return state.recency[-1]
 
 
@@ -87,19 +101,18 @@ class RandomPolicy(ReplacementPolicy):
         # the seed-global stream; naming it now would reseed every golden.
         self._rng = rng if rng is not None else seeded_stream(seed)  # kyotolint: disable=S002
 
-    def on_hit(self, state: SetState, way: int) -> None:
+    def on_hit(self, state: SetState, way: int, set_index: int) -> None:
         # Random replacement keeps no recency order beyond occupancy.
         pass
 
-    def on_fill(self, state: SetState, way: int) -> None:
-        if way not in state.recency:
-            state.recency.append(way)
+    def on_fill(self, state: SetState, way: int, set_index: int) -> None:
+        state.recency.append(way)
 
-    def victim(self, state: SetState, associativity: int) -> int:
+    def victim(self, state: SetState, associativity: int, set_index: int) -> int:
         return self._rng.choice(state.recency)
 
 
-class BipPolicy(ReplacementPolicy):
+class BipPolicy(LruPolicy):
     """Bimodal insertion policy (Qureshi et al., ISCA 2007).
 
     Evicts LRU like plain LRU, but inserts new lines at the *LRU* position
@@ -122,20 +135,11 @@ class BipPolicy(ReplacementPolicy):
         # Nameless stream is deliberate: golden-pinned, see RandomPolicy.
         self._rng = rng if rng is not None else seeded_stream(seed)  # kyotolint: disable=S002
 
-    def on_hit(self, state: SetState, way: int) -> None:
-        state.recency.remove(way)
-        state.recency.insert(0, way)
-
-    def on_fill(self, state: SetState, way: int) -> None:
-        if way in state.recency:
-            state.recency.remove(way)
+    def on_fill(self, state: SetState, way: int, set_index: int) -> None:
         if self._rng.random() < self.epsilon:
             state.recency.insert(0, way)  # rare MRU insertion
         else:
             state.recency.append(way)  # common LRU insertion
-
-    def victim(self, state: SetState, associativity: int) -> int:
-        return state.recency[-1]
 
 
 class DipPolicy(ReplacementPolicy):
@@ -146,9 +150,9 @@ class DipPolicy(ReplacementPolicy):
     and all *follower sets* adopt the winner.  This is the mechanism of
     refs [17, 19] in the paper.
 
-    The cache simulator calls :meth:`assign_set_roles` once it knows the
-    number of sets, then routes each set's operations here with the set
-    index recorded in the state.
+    The cache calls :meth:`assign_set_roles` once it knows the number of
+    sets; every later call carries the set index, which picks the
+    delegate policy.
     """
 
     name = "dip"
@@ -169,6 +173,8 @@ class DipPolicy(ReplacementPolicy):
         self._bip = BipPolicy(epsilon=epsilon, seed=seed, rng=rng)
         self._psel_max = (1 << psel_bits) - 1
         self._psel = self._psel_max // 2
+        # PSEL at or above the midpoint means LRU leaders missed more.
+        self._psel_midpoint = (self._psel_max + 1) // 2
         self._leaders_per_kind = leaders_per_kind
         self._roles: List[int] = []
 
@@ -187,47 +193,30 @@ class DipPolicy(ReplacementPolicy):
             self._roles[bip_set] = self.LEADER_BIP
 
     def _active_for(self, set_index: int) -> ReplacementPolicy:
-        role = self._roles[set_index] if self._roles else self.FOLLOWER
+        role = self._roles[set_index]
         if role == self.LEADER_LRU:
             return self._lru
         if role == self.LEADER_BIP:
             return self._bip
-        # Followers use the currently winning policy: PSEL above midpoint
-        # means LRU leaders missed more, so BIP wins.
-        midpoint = (self._psel_max + 1) // 2
-        return self._bip if self._psel >= midpoint else self._lru
+        # Followers use the currently winning policy.
+        return self._bip if self._psel >= self._psel_midpoint else self._lru
 
     def record_miss(self, set_index: int) -> None:
-        """Called by the cache on every miss, drives the PSEL counter."""
-        if not self._roles:
-            return
+        """Leader-set misses drive the PSEL counter."""
         role = self._roles[set_index]
         if role == self.LEADER_LRU:
             self._psel = min(self._psel_max, self._psel + 1)
         elif role == self.LEADER_BIP:
             self._psel = max(0, self._psel - 1)
 
-    # The cache stores the set index in state.extra[0] slot via subclass
-    # hooks; simpler: DIP exposes per-set wrappers below.
+    def on_hit(self, state: SetState, way: int, set_index: int) -> None:
+        self._active_for(set_index).on_hit(state, way, set_index)
 
-    def on_hit_set(self, state: SetState, way: int, set_index: int) -> None:
-        self._active_for(set_index).on_hit(state, way)
+    def on_fill(self, state: SetState, way: int, set_index: int) -> None:
+        self._active_for(set_index).on_fill(state, way, set_index)
 
-    def on_fill_set(self, state: SetState, way: int, set_index: int) -> None:
-        self._active_for(set_index).on_fill(state, way)
-
-    def victim_set(self, state: SetState, associativity: int, set_index: int) -> int:
-        return self._active_for(set_index).victim(state, associativity)
-
-    # ReplacementPolicy interface (used when no set index is available).
-    def on_hit(self, state: SetState, way: int) -> None:
-        self.on_hit_set(state, way, 0)
-
-    def on_fill(self, state: SetState, way: int) -> None:
-        self.on_fill_set(state, way, 0)
-
-    def victim(self, state: SetState, associativity: int) -> int:
-        return self.victim_set(state, associativity, 0)
+    def victim(self, state: SetState, associativity: int, set_index: int) -> int:
+        return self._active_for(set_index).victim(state, associativity, set_index)
 
 
 class ProtectingDistancePolicy(ReplacementPolicy):
@@ -249,27 +238,28 @@ class ProtectingDistancePolicy(ReplacementPolicy):
         self.protecting_distance = protecting_distance
 
     def _decay(self, state: SetState) -> None:
+        extra = state.extra
         for way in state.recency:
-            if state.extra[way] > 0:
-                state.extra[way] -= 1
+            if extra[way] > 0:
+                extra[way] -= 1
 
-    def on_hit(self, state: SetState, way: int) -> None:
+    def on_hit(self, state: SetState, way: int, set_index: int) -> None:
         self._decay(state)
         state.extra[way] = self.protecting_distance
         state.recency.remove(way)
         state.recency.insert(0, way)
 
-    def on_fill(self, state: SetState, way: int) -> None:
+    def on_fill(self, state: SetState, way: int, set_index: int) -> None:
         self._decay(state)
         state.extra[way] = self.protecting_distance
-        if way in state.recency:
-            state.recency.remove(way)
         state.recency.insert(0, way)
 
-    def victim(self, state: SetState, associativity: int) -> int:
-        unprotected = [way for way in state.recency if state.extra[way] == 0]
-        if unprotected:
-            return unprotected[-1]
+    def victim(self, state: SetState, associativity: int, set_index: int) -> int:
+        # The least recent unprotected line, else the least recent line.
+        extra = state.extra
+        for way in reversed(state.recency):
+            if extra[way] == 0:
+                return way
         return state.recency[-1]
 
 

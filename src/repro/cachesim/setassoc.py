@@ -11,28 +11,25 @@ the line size and number of sets from its :class:`~repro.hardware.specs.
 CacheSpec`.  Every access is tagged with an *owner* id (a vCPU) so that
 per-VM attribution — Kyoto's central measurement problem — can be studied
 directly.
+
+The layout is flat: one list of resident line numbers and one of their
+owners, each indexed by ``set_index * associativity + way`` (``None``
+marks a free way), plus one line→way dict, so a lookup is a single dict
+probe.  A line number determines its set (``line % num_sets``) and tag
+(``line // num_sets``), so the dict needs no per-set split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.specs import CacheSpec
 
-from .replacement import DipPolicy, LruPolicy, ReplacementPolicy, SetState
+from .replacement import LruPolicy, ReplacementPolicy, SetState
 from .stats import CacheStats
 
 #: Owner id used for lines whose owner is unknown/irrelevant.
 NO_OWNER = -1
-
-
-@dataclass
-class CacheLine:
-    """One cache line: its tag and the owner that brought it in."""
-
-    tag: int
-    owner: int
 
 
 class AccessResult:
@@ -66,16 +63,22 @@ class SetAssociativeCache:
         self.num_sets = spec.num_sets
         self.assoc = spec.associativity
         self.line_bytes = spec.line_bytes
-        # ways[s][w] is the CacheLine in way w of set s, or None.
-        self._ways: List[List[Optional[CacheLine]]] = [
-            [None] * self.assoc for _ in range(self.num_sets)
-        ]
+        self.stats = CacheStats()
+        self._reset_contents()
+        self.policy.assign_set_roles(self.num_sets)
+        #: Line and owner of the last eviction :meth:`lookup` made (read by
+        #: :meth:`access`, which clears them first).
+        self._victim_line: Optional[int] = None
+        self._victim_owner = NO_OWNER
+
+    def _reset_contents(self) -> None:
+        slots = self.num_sets * self.assoc
+        self._lines: List[Optional[int]] = [None] * slots
+        self._owners: List[Optional[int]] = [None] * slots
+        self._way_of: Dict[int, int] = {}
         self._states: List[SetState] = [
             self.policy.make_set_state(self.assoc) for _ in range(self.num_sets)
         ]
-        self.stats = CacheStats()
-        if isinstance(self.policy, DipPolicy):
-            self.policy.assign_set_roles(self.num_sets)
 
     # -- address mapping ---------------------------------------------------
 
@@ -88,112 +91,104 @@ class SetAssociativeCache:
 
     def probe(self, address: int) -> bool:
         """Check residency without touching stats or recency state."""
-        set_index, tag = self.index_of(address)
-        return any(
-            line is not None and line.tag == tag
-            for line in self._ways[set_index]
-        )
+        return address // self.line_bytes in self._way_of
+
+    def lookup(self, address: int, owner: int = NO_OWNER) -> bool:
+        """Perform one access; fill on miss; return whether it hit.
+
+        The replay hot path: a hit allocates nothing.
+        """
+        line = address // self.line_bytes
+        set_index = line % self.num_sets
+        stats = self.stats
+        total = stats.total
+        mine = stats.by_owner[owner]
+        total.accesses += 1
+        mine.accesses += 1
+        way = self._way_of.get(line)
+        if way is not None:
+            total.hits += 1
+            mine.hits += 1
+            self.policy.on_hit(self._states[set_index], way, set_index)
+            return True
+
+        total.misses += 1
+        mine.misses += 1
+        policy = self.policy
+        policy.record_miss(set_index)
+        assoc = self.assoc
+        base = set_index * assoc
+        lines = self._lines
+        owners = self._owners
+        state = self._states[set_index]
+        # recency lists exactly the valid ways, so it also counts them.
+        if len(state.recency) < assoc:
+            way = lines.index(None, base, base + assoc) - base
+        else:
+            way = policy.victim(state, assoc, set_index)
+            victim_line = lines[base + way]
+            victim_owner = owners[base + way]
+            del self._way_of[victim_line]
+            state.recency.remove(way)
+            total.evictions_suffered += 1
+            stats.by_owner[victim_owner].evictions_suffered += 1
+            mine.evictions_caused += 1
+            self._victim_line = victim_line
+            self._victim_owner = victim_owner
+        lines[base + way] = line
+        owners[base + way] = owner
+        self._way_of[line] = way
+        policy.on_fill(state, way, set_index)
+        return False
 
     def access(self, address: int, owner: int = NO_OWNER) -> AccessResult:
         """Perform one access; fill on miss; return hit/eviction info."""
-        set_index, tag = self.index_of(address)
-        ways = self._ways[set_index]
-        state = self._states[set_index]
-
-        for way, line in enumerate(ways):
-            if line is not None and line.tag == tag:
-                self._policy_on_hit(state, way, set_index)
-                self.stats.record_access(owner, hit=True)
-                return AccessResult(hit=True, set_index=set_index)
-
-        # Miss: find a free way or evict.
-        self.stats.record_access(owner, hit=False)
-        self._policy_record_miss(set_index)
-        evicted_tag: Optional[int] = None
-        evicted_owner = NO_OWNER
-        fill_way = next((w for w, line in enumerate(ways) if line is None), None)
-        if fill_way is None:
-            fill_way = self._policy_victim(state, set_index)
-            victim = ways[fill_way]
-            assert victim is not None
-            evicted_tag = victim.tag
-            evicted_owner = victim.owner
-            state.recency.remove(fill_way)
-            self.stats.record_eviction(victim_owner=victim.owner, cause_owner=owner)
-        ways[fill_way] = CacheLine(tag=tag, owner=owner)
-        self._policy_on_fill(state, fill_way, set_index)
+        self._victim_line = None
+        self._victim_owner = NO_OWNER
+        hit = self.lookup(address, owner)
+        set_index, _ = self.index_of(address)
+        victim_line = self._victim_line
         return AccessResult(
-            hit=False,
+            hit=hit,
             set_index=set_index,
-            evicted_tag=evicted_tag,
-            evicted_owner=evicted_owner,
+            evicted_tag=(
+                None if victim_line is None else victim_line // self.num_sets
+            ),
+            evicted_owner=self._victim_owner,
         )
 
     # -- owner queries -----------------------------------------------------
 
     def occupancy_of(self, owner: int) -> int:
         """Number of lines currently owned by ``owner``."""
-        return sum(
-            1
-            for ways in self._ways
-            for line in ways
-            if line is not None and line.owner == owner
-        )
+        return self._owners.count(owner)
 
     def occupancy_by_owner(self) -> Dict[int, int]:
         """Mapping owner -> resident line count."""
         counts: Dict[int, int] = {}
-        for ways in self._ways:
-            for line in ways:
-                if line is not None:
-                    counts[line.owner] = counts.get(line.owner, 0) + 1
+        for owner in self._owners:
+            if owner is not None:
+                counts[owner] = counts.get(owner, 0) + 1
         return counts
 
     def resident_lines(self) -> int:
         """Total number of valid lines."""
-        return sum(
-            1 for ways in self._ways for line in ways if line is not None
-        )
+        return len(self._way_of)
 
     def flush(self) -> None:
         """Invalidate every line (stats are preserved)."""
-        self._ways = [[None] * self.assoc for _ in range(self.num_sets)]
-        self._states = [
-            self.policy.make_set_state(self.assoc) for _ in range(self.num_sets)
-        ]
+        self._reset_contents()
 
     def flush_owner(self, owner: int) -> int:
         """Invalidate all lines of one owner; returns how many were dropped."""
+        lines, owners = self._lines, self._owners
         dropped = 0
-        for set_index, ways in enumerate(self._ways):
-            state = self._states[set_index]
-            for way, line in enumerate(ways):
-                if line is not None and line.owner == owner:
-                    ways[way] = None
-                    if way in state.recency:
-                        state.recency.remove(way)
-                    dropped += 1
+        for slot, line_owner in enumerate(owners):
+            if line_owner == owner:
+                set_index, way = divmod(slot, self.assoc)
+                del self._way_of[lines[slot]]
+                lines[slot] = None
+                owners[slot] = None
+                self._states[set_index].recency.remove(way)
+                dropped += 1
         return dropped
-
-    # -- policy dispatch (DIP needs the set index) --------------------------
-
-    def _policy_on_hit(self, state: SetState, way: int, set_index: int) -> None:
-        if isinstance(self.policy, DipPolicy):
-            self.policy.on_hit_set(state, way, set_index)
-        else:
-            self.policy.on_hit(state, way)
-
-    def _policy_on_fill(self, state: SetState, way: int, set_index: int) -> None:
-        if isinstance(self.policy, DipPolicy):
-            self.policy.on_fill_set(state, way, set_index)
-        else:
-            self.policy.on_fill(state, way)
-
-    def _policy_victim(self, state: SetState, set_index: int) -> int:
-        if isinstance(self.policy, DipPolicy):
-            return self.policy.victim_set(state, self.assoc, set_index)
-        return self.policy.victim(state, self.assoc)
-
-    def _policy_record_miss(self, set_index: int) -> None:
-        if isinstance(self.policy, DipPolicy):
-            self.policy.record_miss(set_index)

@@ -51,21 +51,6 @@ class CacheStats:
         self.total = AccessStats()
         self.by_owner: Dict[int, AccessStats] = defaultdict(AccessStats)
 
-    def record_access(self, owner: int, hit: bool) -> None:
-        self.total.accesses += 1
-        self.by_owner[owner].accesses += 1
-        if hit:
-            self.total.hits += 1
-            self.by_owner[owner].hits += 1
-        else:
-            self.total.misses += 1
-            self.by_owner[owner].misses += 1
-
-    def record_eviction(self, victim_owner: int, cause_owner: int) -> None:
-        self.total.evictions_suffered += 1
-        self.by_owner[victim_owner].evictions_suffered += 1
-        self.by_owner[cause_owner].evictions_caused += 1
-
     def owner(self, owner_id: int) -> AccessStats:
         """Stats for one owner (created empty if never seen)."""
         return self.by_owner[owner_id]

@@ -116,20 +116,17 @@ class MultiCoreReplayer:
                 progressed = True
                 record = records[cursor]
                 cursors[name] = cursor + 1
-                measuring = cursor >= warmup_counts[name]
-                hierarchy = hierarchies[name]
-                report = reports[name]
-                record_cycles = record.instructions * self.base_cpi
-                for address in record.addresses:
-                    outcome = hierarchy.access(address, owner=owner_ids[name])
-                    record_cycles += outcome.cycles
-                    if measuring and outcome.level.value in ("LLC", "MEMORY"):
-                        report.llc_accesses += 1
-                        if outcome.llc_miss:
-                            report.llc_misses += 1
-                if measuring:
+                record_cycles, accesses, misses = hierarchies[name].replay_block(
+                    record.addresses,
+                    owner_ids[name],
+                    record.instructions * self.base_cpi,
+                )
+                if cursor >= warmup_counts[name]:
+                    report = reports[name]
                     report.instructions += record.instructions
                     report.cycles += record_cycles
+                    report.llc_accesses += accesses
+                    report.llc_misses += misses
         for name, report in reports.items():
             report.llc_occupancy_lines = llc.occupancy_of(owner_ids[name])
         return reports

@@ -14,15 +14,16 @@ from typing import Iterable, Optional
 
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.replacement import make_policy
-from repro.cachesim.setassoc import SetAssociativeCache
+from repro.cachesim.setassoc import NO_OWNER, SetAssociativeCache
 from repro.hardware.specs import MachineSpec, paper_machine
 
 from .pin import TraceRecord
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayReport:
-    """PMCs produced by one replay run."""
+    """PMCs produced by one replay run (immutable: the replay service
+    shares one report between every VM with the same behaviour)."""
 
     instructions: int
     cycles: float
@@ -90,18 +91,14 @@ class McSimReplayer:
         llc_accesses = 0
         llc_misses = 0
         for index, record in enumerate(records):
-            measuring = index >= warmup_count
-            record_cycles = record.instructions * self.base_cpi
-            for address in record.addresses:
-                outcome = hierarchy.access(address)
-                record_cycles += outcome.cycles
-                if measuring and outcome.level.value in ("LLC", "MEMORY"):
-                    llc_accesses += 1
-                    if outcome.llc_miss:
-                        llc_misses += 1
-            if measuring:
+            record_cycles, accesses, misses = hierarchy.replay_block(
+                record.addresses, NO_OWNER, record.instructions * self.base_cpi
+            )
+            if index >= warmup_count:
                 instructions += record.instructions
                 cycles += record_cycles
+                llc_accesses += accesses
+                llc_misses += misses
         return ReplayReport(
             instructions=instructions,
             cycles=cycles,

@@ -11,12 +11,24 @@ tool and a replayer, caches reports per VM (a sampling period is about a
 billion cycles, so reports are reused between refreshes), and keeps
 simple request accounting so the zero-overhead claim — all replay cost is
 off the production machine — can be audited in tests.
+
+Below the per-VM refresh logic sits an exact replay memo.  A replay is a
+pure function of the workload's :class:`~repro.cachesim.perfmodel.
+CacheBehavior`, the capture config and the replayer parameters: the
+trace generator reseeds on every capture and the replayer builds a
+fresh, seeded replacement policy for every replay.  The last two are
+fixed for the service's lifetime, so a refresh for a behaviour already
+replayed — another VM running the same application, or the same VM
+after its report expired — returns the memoized (immutable) report,
+bit-identical to what a fresh capture and replay would produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, TYPE_CHECKING, Tuple
+
+from repro.cachesim.perfmodel import CacheBehavior
 
 from .pin import CaptureConfig, PinTool
 from .replay import McSimReplayer, ReplayReport
@@ -36,6 +48,9 @@ class ServiceStats:
     #: refreshes on the normal path, stale reports actually *served* when
     #: fault injection bypasses the bound (repro.faults.injectors).
     stale_hits: int = 0
+    #: Replays answered from the behaviour memo instead of a fresh
+    #: capture + replay (each is also counted in ``replays``).
+    memo_hits: int = 0
 
 
 class ReplayService:
@@ -62,6 +77,8 @@ class ReplayService:
             raise ValueError(
                 f"max_report_age must be positive, got {max_report_age}"
             )
+        # The pin tool and replayer are fixed for the service's lifetime:
+        # the memo below is keyed by behaviour alone.
         self.pin = PinTool(capture_config)
         self.replayer = replayer if replayer is not None else McSimReplayer()
         self.refresh_every = refresh_every
@@ -69,6 +86,7 @@ class ReplayService:
         self.stats = ServiceStats()
         self._cache: Dict[int, ReplayReport] = {}
         self._age: Dict[int, int] = {}
+        self._memo: Dict[CacheBehavior, ReplayReport] = {}
 
     def report_age(self, vm: "VirtualMachine") -> Optional[int]:
         """Requests served since ``vm``'s report was produced (None if
@@ -104,8 +122,13 @@ class ReplayService:
             self._age[vm.vm_id] = age + 1
             self.stats.cache_hits += 1
             return self._cache[vm.vm_id]
-        records = self.pin.capture(vm.config.workload)
-        report = self.replayer.replay(records)
+        workload = vm.config.workload
+        report = self._memo.get(workload.behavior)
+        if report is None:
+            report = self.replayer.replay(self.pin.capture(workload))
+            self._memo[workload.behavior] = report
+        else:
+            self.stats.memo_hits += 1
         self._cache[vm.vm_id] = report
         self._age[vm.vm_id] = 0
         self.stats.replays += 1

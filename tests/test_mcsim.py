@@ -189,3 +189,109 @@ class TestStalenessBound:
     def test_invalid_max_report_age(self):
         with pytest.raises(ValueError):
             ReplayService(max_report_age=0)
+
+
+class TestReplayMemo:
+    """The service's behaviour memo is exact and invisible to the per-VM
+    refresh accounting."""
+
+    CONFIG = CaptureConfig(sample_accesses=4_000)
+
+    def _system(self):
+        from repro.hypervisor.system import VirtualizedSystem
+        from repro.schedulers.credit import CreditScheduler
+
+        return VirtualizedSystem(CreditScheduler())
+
+    @pytest.mark.parametrize("policy", ["lru", "random", "bip", "dip", "pdp"])
+    def test_memoized_report_equals_fresh_replay(self, policy):
+        from conftest import make_vm
+
+        system = self._system()
+        first_vm = make_vm(system, name="a", app="gcc", core=0)
+        twin_vm = make_vm(system, name="b", app="gcc", core=1)
+        service = ReplayService(
+            replayer=McSimReplayer(llc_policy=policy),
+            capture_config=self.CONFIG,
+        )
+        service.replay_vm(first_vm)
+        memoized = service.replay_vm(twin_vm)
+        assert service.stats.memo_hits == 1
+        fresh = McSimReplayer(llc_policy=policy).replay(
+            PinTool(self.CONFIG).capture(application_workload("gcc"))
+        )
+        assert memoized == fresh
+
+    def test_distinct_behaviours_replay_separately(self):
+        from conftest import make_vm
+
+        system = self._system()
+        gcc = make_vm(system, name="gcc", app="gcc", core=0)
+        lbm = make_vm(system, name="lbm", app="lbm", core=1)
+        service = ReplayService(capture_config=self.CONFIG)
+        assert service.replay_vm(gcc) != service.replay_vm(lbm)
+        assert service.stats.memo_hits == 0
+
+    def test_refresh_accounting_unchanged(self):
+        from conftest import make_vm
+
+        system = self._system()
+        vms = [
+            make_vm(system, name=f"vm{i}", app="gcc", core=i) for i in range(2)
+        ]
+        service = ReplayService(refresh_every=3, capture_config=self.CONFIG)
+        for __ in range(6):
+            for vm in vms:
+                service.replay_vm(vm)
+        # Per VM: replay, hit, hit, replay, hit, hit — as without a memo.
+        assert service.stats.requests == 12
+        assert service.stats.replays == 4
+        assert service.stats.cache_hits == 8
+        assert service.stats.stale_hits == 0
+        # Only the very first replay captured and simulated.
+        assert service.stats.memo_hits == 3
+
+    def test_report_is_immutable(self):
+        import dataclasses
+
+        report = McSimReplayer().replay([])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.llc_misses = 1
+
+    def test_memo_is_per_instance(self):
+        from conftest import make_vm
+
+        vm = make_vm(self._system(), app="gcc")
+        for __ in range(2):
+            service = ReplayService(capture_config=self.CONFIG)
+            service.replay_vm(vm)
+            assert service.stats.memo_hits == 0
+
+    def test_stale_fault_serves_the_per_vm_report(self):
+        from conftest import make_vm
+        from repro.faults import (
+            SITE_REPLAY_STALE,
+            FaultPlan,
+            FaultSpec,
+            FaultyReplayService,
+        )
+        from repro.simulation.rng import seeded_stream
+
+        system = self._system()
+        first_vm = make_vm(system, name="a", app="gcc", core=0)
+        twin_vm = make_vm(system, name="b", app="gcc", core=1)
+        plan = FaultPlan(
+            [FaultSpec(site=SITE_REPLAY_STALE, probability=1.0)],
+            rng=seeded_stream(0),
+        )
+        service = FaultyReplayService(
+            ReplayService(capture_config=self.CONFIG), plan, system
+        )
+        first = service.replay_vm(first_vm)  # nothing cached: real replay
+        twin = service.replay_vm(twin_vm)  # nothing cached: memo answers
+        assert service.stats.replays == 2
+        assert service.stats.memo_hits == 1
+        assert service.replay_vm(first_vm) is first
+        assert service.replay_vm(twin_vm) is twin
+        assert service.stats.stale_hits == 2
+        assert service.stats.replays == 2
