@@ -31,7 +31,7 @@ import multiprocessing
 import os
 import sys
 import traceback
-from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple
 
 from repro.scenario import ScenarioError
 from repro.telemetry import (
@@ -44,6 +44,9 @@ from repro.telemetry import (
 from repro.util import atomic_write_json, atomic_write_text, elapsed_since, wall_clock
 
 from .registry import REGISTRY, expand_names, is_scenario_token, resolve
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.herd.pool import WorkerOutcome
 
 #: Schema identifier of one per-experiment artifact file.
 ARTIFACT_SCHEMA = "repro.artifact/1"
@@ -189,120 +192,57 @@ def failure_artifact(
     }
 
 
-#: Watchdog work payload: a bare experiment name, or ``(name, stream_dir)``.
-WorkPayload = Union[str, Tuple[str, Optional[str]]]
-
-
 def _run_one_into(
-    payload: WorkPayload, conn: "multiprocessing.connection.Connection"
+    payload: Tuple[str, Optional[str]],
+    conn: "multiprocessing.connection.Connection",
 ) -> None:
     """Watchdog child entry point: run the experiment, ship the artifact.
 
-    Module-level so it stays picklable under every start method.  The
-    payload is either a bare name (the historical contract, kept so herd
-    journals replay unchanged) or ``(name, stream_dir)`` when the
-    campaign streams full-resolution telemetry.
+    Module-level so it stays picklable under every start method; the
+    payload is ``(name, stream_dir)``.
     """
-    if isinstance(payload, tuple):
-        name, stream_dir = payload
-    else:
-        name, stream_dir = payload, None
+    name, stream_dir = payload
     try:
         conn.send(run_one(name, stream_dir))
     finally:
         conn.close()
 
 
-def run_one_with_timeout(
-    name: str,
-    timeout_sec: float,
-    grace_sec: float = 5.0,
-    stream_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run one experiment in a subprocess, killed after ``timeout_sec``.
+def describe_token(token: str) -> Tuple[str, str]:
+    """``(display name, description)`` of an experiment token.
 
-    A hung driver (infinite loop, deadlock) cannot be interrupted
-    in-process, so the watchdog runs it in a child and stops the child
-    on timeout — SIGTERM first, escalating to SIGKILL after
-    ``grace_sec`` (:func:`repro.herd.pool.stop_child`), so a child that
-    ignores SIGTERM cannot hang the campaign.  The timeout — and a
-    child that dies without reporting — is surfaced exactly like a
-    crashing driver: an ``ok: False`` artifact, and the batch continues.
+    An unresolvable token keeps its raw text as the name and says so in
+    the description.
     """
-    if timeout_sec <= 0:
-        raise CampaignError(f"timeout_sec must be positive, got {timeout_sec}")
-    if grace_sec <= 0:
-        raise CampaignError(f"grace_sec must be positive, got {grace_sec}")
     try:
-        spec = resolve(name)
+        spec = resolve(token)
     except (KeyError, ScenarioError):
-        # Resolution failures need no watchdog; reuse run_one's artifact.
-        return run_one(name, stream_dir)
-    start = wall_clock()
-    payload: WorkPayload = (
-        (name, stream_dir) if stream_dir is not None else name
-    )
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    # C002: the worker installs its own ambient telemetry recorder
-    # (recording() rebinds _current per process); nothing flows back except
-    # the pickled artifact, so per-process mutation is the design.
-    child = multiprocessing.Process(  # kyotolint: disable=C002
-        target=_run_one_into, args=(payload, sender)
-    )
-    child.start()
-    sender.close()
-    error: Optional[str] = None
-    try:
-        if receiver.poll(timeout_sec):
-            try:
-                return receiver.recv()
-            except EOFError:
-                error = (
-                    f"ChildCrash: experiment '{name}' worker died without "
-                    "reporting (exit code "
-                    f"{child.exitcode if child.exitcode is not None else '?'})"
-                )
-        else:
-            error = (
-                f"TimeoutError: watchdog killed '{name}' after "
-                f"{timeout_sec:g}s"
-            )
-    finally:
-        # Local import: repro.herd orchestrates *over* the campaign
-        # runner, so campaign -> herd must not bind at import time.
-        from repro.herd.pool import stop_child
-
-        receiver.close()
-        stop_child(child, grace_sec)
-    return failure_artifact(
-        spec.name, spec.description, error or "", elapsed_since(start)
-    )
+        return token, f"unresolvable experiment {token!r}"
+    return spec.name, spec.description
 
 
-def _watchdog_artifact(
-    name: str, kind: str, result: Optional[Dict[str, Any]],
-    timeout_sec: float, wall_time_sec: float, exitcode: Optional[int],
+def watchdog_failure(
+    token: str, outcome: "WorkerOutcome", timeout_sec: Optional[float]
 ) -> Dict[str, Any]:
-    """Artifact for one supervised-pool outcome (see ``_watchdog_stream``)."""
-    if kind == "result" and result is not None:
-        return result
-    try:
-        spec = resolve(name)
-        display, description = spec.name, spec.description
-    except (KeyError, ScenarioError):
-        display, description = name, f"unresolvable experiment {name!r}"
-    if kind == "timeout":
+    """The ``ok: False`` artifact for a supervised worker that never reported.
+
+    ``outcome`` is of kind ``timeout`` or ``crash``.  Both ``repro run
+    --timeout-sec`` and ``repro herd`` build their failure text here, so
+    the same crash reads the same in either.
+    """
+    display, description = describe_token(token)
+    if outcome.kind == "timeout":
         error = (
             f"TimeoutError: watchdog killed '{display}' after "
             f"{timeout_sec:g}s"
         )
     else:
+        exitcode = outcome.exitcode if outcome.exitcode is not None else "?"
         error = (
             f"ChildCrash: experiment '{display}' worker died without "
-            f"reporting (exit code "
-            f"{exitcode if exitcode is not None else '?'})"
+            f"reporting (exit code {exitcode})"
         )
-    return failure_artifact(display, description, error, wall_time_sec)
+    return failure_artifact(display, description, error, outcome.wall_time_sec)
 
 
 def _watchdog_stream(
@@ -311,7 +251,12 @@ def _watchdog_stream(
     timeout_sec: float,
     stream_dir: Optional[str] = None,
 ) -> Iterator[Dict[str, Any]]:
-    """Supervised watchdog workers, ``jobs`` at a time, request order out."""
+    """Supervised watchdog workers, ``jobs`` at a time, request order out.
+
+    Each experiment gets its own child process and its full time budget;
+    a hung or dying child is stopped (SIGTERM, then SIGKILL) and
+    surfaces as an ``ok: False`` artifact while the batch continues.
+    """
     # Local import: campaign -> herd must not bind at import time (the
     # herd orchestrator builds on this module).
     from repro.herd.pool import SupervisedPool
@@ -324,22 +269,14 @@ def _watchdog_stream(
     ) as pool:
         while next_index < len(names):
             while pool.free_slots > 0 and launched < len(names):
-                payload: WorkPayload = (
-                    (names[launched], stream_dir)
-                    if stream_dir is not None
-                    else names[launched]
-                )
-                pool.launch(str(launched), payload)
+                pool.launch(str(launched), (names[launched], stream_dir))
                 launched += 1
             for outcome in pool.wait(0.25):
                 index = int(outcome.key)
-                buffered[index] = _watchdog_artifact(
-                    names[index],
-                    outcome.kind,
-                    outcome.result,
-                    timeout_sec,
-                    outcome.wall_time_sec,
-                    outcome.exitcode,
+                buffered[index] = (
+                    outcome.result
+                    if outcome.kind == "result"
+                    else watchdog_failure(names[index], outcome, timeout_sec)
                 )
             while next_index in buffered:
                 yield buffered.pop(next_index)
@@ -354,25 +291,15 @@ def _artifact_stream(
 ):
     """Yield artifacts for ``names`` in request order.
 
-    Serial (``jobs <= 1`` or a single experiment) runs in-process;
-    otherwise a worker pool computes out of order while ``imap``
-    delivers in order, so the observable output is identical.  With a
-    ``timeout_sec`` watchdog each experiment gets its own supervised
-    subprocess — up to ``jobs`` of them concurrently
-    (:class:`repro.herd.pool.SupervisedPool`), each owning its full
-    time budget, with results still delivered in request order.
+    With a ``timeout_sec`` watchdog every experiment runs in its own
+    supervised subprocess, up to ``jobs`` at a time (see
+    :func:`_watchdog_stream`).  Without one, serial (``jobs <= 1`` or a
+    single experiment) runs in-process; otherwise a worker pool computes
+    out of order while ``imap`` delivers in order, so the observable
+    output is identical.
     """
     if timeout_sec is not None:
-        if jobs <= 1 or len(names) <= 1:
-            for name in names:
-                yield run_one_with_timeout(
-                    name, timeout_sec, stream_dir=stream_dir
-                )
-        else:
-            for artifact in _watchdog_stream(
-                names, jobs, timeout_sec, stream_dir
-            ):
-                yield artifact
+        yield from _watchdog_stream(names, jobs, timeout_sec, stream_dir)
         return
     if jobs <= 1 or len(names) <= 1:
         for name in names:
@@ -383,6 +310,8 @@ def _artifact_stream(
         if stream_dir is not None
         else run_one
     )
+    # Reused Pool.imap workers, not a supervised process per experiment:
+    # with no watchdog to arm, reuse skips the per-experiment spawn cost.
     with multiprocessing.Pool(processes=min(jobs, len(names))) as pool:
         # C002: run_one reaches recording()'s per-process ambient recorder
         # rebinding by design; results return only via pickled artifacts.
@@ -440,7 +369,7 @@ def run_campaign(
     input — it also expands sweep files into point tokens).
     Reports stream to ``out`` in the legacy serial format; artifacts go
     to ``json_dir`` when given.  ``timeout_sec`` arms the per-experiment
-    watchdog (see :func:`run_one_with_timeout`).  ``stream_dir`` spools
+    watchdog (see :func:`_watchdog_stream`).  ``stream_dir`` spools
     each experiment's full-resolution telemetry into its own
     subdirectory (see :func:`experiment_stream_dir`).
     """

@@ -42,13 +42,14 @@ from repro.util import wall_clock
 from repro.experiments.campaign import (
     CampaignError,
     _run_one_into,
+    describe_token,
     failure_artifact,
+    watchdog_failure,
     write_artifact,
 )
 from repro.experiments.registry import (
     REGISTRY,
     expand_names,
-    resolve,
     scenario_spec_of,
 )
 
@@ -307,11 +308,7 @@ class _Driver:
             }
         )
         self.recorder.inc("herd.quarantined")
-        description = ""
-        try:
-            description = resolve(self.tokens[point.point_id]).description
-        except (KeyError, ScenarioError):
-            description = f"unresolvable experiment {point.name!r}"
+        _display, description = describe_token(self.tokens[point.point_id])
         write_artifact(
             self.json_dir,
             failure_artifact(point.name, description, stable_error, 0.0),
@@ -328,23 +325,14 @@ class _Driver:
             self._conclude_result(
                 point, attempt, outcome.result, outcome.wall_time_sec
             )
-        elif outcome.kind == "timeout":
-            error = (
-                f"TimeoutError: watchdog killed '{point.name}' after "
-                f"{self.config.timeout_sec:g}s"
-            )
-            self._conclude_transient(
-                point, attempt, "timeout", error, outcome.wall_time_sec
-            )
-        else:
-            exitcode = outcome.exitcode if outcome.exitcode is not None else "?"
-            error = (
-                f"ChildCrash: worker for '{point.name}' died without "
-                f"reporting (exit code {exitcode})"
-            )
-            self._conclude_transient(
-                point, attempt, "crash", error, outcome.wall_time_sec
-            )
+            return
+        failure = watchdog_failure(
+            self.tokens[outcome.key], outcome, self.config.timeout_sec
+        )
+        self._conclude_transient(
+            point, attempt, outcome.kind, failure["error"],
+            outcome.wall_time_sec,
+        )
 
     # -- main loop -------------------------------------------------------------
 
@@ -372,7 +360,9 @@ class _Driver:
                     point.status = "running"
                     point.attempts_used = max(point.attempts_used, entry.attempt)
                     self.in_flight[entry.point_id] = entry.attempt
-                    pool.launch(entry.point_id, self.tokens[entry.point_id])
+                    pool.launch(
+                        entry.point_id, (self.tokens[entry.point_id], None)
+                    )
                 if pool.active:
                     for outcome in pool.wait(0.25):
                         self._handle_outcome(outcome)

@@ -37,19 +37,14 @@ progress, PMC counters or the penalty map mid-tick must be preceded by
 :meth:`BatchTickEngine._flush`.  See docs/performance.md for the field
 map and how to add a per-step quantity without breaking goldens.
 
-An optional numpy backend (``tick_engine="batch-numpy"``) vectorises the
-perf-model arithmetic across memo-missing slots.  Elementwise float64
-add/sub/mul/div/min/max in numpy are bitwise identical to CPython, but
-``np.power`` is **not** (SIMD pow differs by 1 ulp on ~4% of inputs), so
-the ``resident ** theta`` term is always computed with per-element
-Python pow.  The kernel only pays off when many slots miss the memo at
-once (cold starts, mass phase changes on wide machines); the pure-python
-engine is the default.
+This is the production engine.  ``tick_engine="scalar"`` selects the
+original per-core loop instead; it is kept only as the oracle the
+property tests pin this engine against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, TYPE_CHECKING, Tuple
 
 from repro.cachesim.occupancy import LlcOccupancyDomain
 from repro.workloads.base import Workload
@@ -57,15 +52,6 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # pragma: no cover
     from .system import VirtualizedSystem
     from .vcpu import VCpu
-
-try:  # pragma: no cover - exercised indirectly via the numpy engine
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
-#: Minimum number of memo-missing slots in one sub-step before the numpy
-#: kernel beats per-slot Python arithmetic (array setup is ~5 us).
-NUMPY_MIN_BATCH = 12
 
 #: Sentinel for "this slot did not execute the previous sub-step".
 _NEVER = -10
@@ -181,16 +167,8 @@ class _CoreSlot:
 class BatchTickEngine:
     """Executes one scheduler tick over per-core slots, bit-exactly."""
 
-    def __init__(
-        self, system: "VirtualizedSystem", use_numpy: bool = False
-    ) -> None:
-        if use_numpy and _np is None:
-            raise RuntimeError(
-                "tick_engine='batch-numpy' requires numpy, which is not "
-                "importable in this environment"
-            )
+    def __init__(self, system: "VirtualizedSystem") -> None:
         self.system = system
-        self.use_numpy = use_numpy
         self.slots: List[_CoreSlot] = [
             _CoreSlot(
                 core,
@@ -209,7 +187,6 @@ class BatchTickEngine:
         # Monotone sub-step counter; never reset, so relax elision keeps
         # working across tick boundaries at a steady schedule.
         self._stamp = 0
-        self._stopped_count = 0
         # Per-socket relax-elision state: was the previous relaxation a
         # provable no-op, and at which occupancy-state version.
         self._prev_nop: List[bool] = [False] * num_sockets
@@ -283,10 +260,7 @@ class BatchTickEngine:
         system = self.system
         slot.vcpu = vcpu
         slot.gid = vcpu.gid
-        stopped = not vcpu.runnable
-        slot.stopped = stopped
-        if stopped:
-            self._stopped_count += 1
+        slot.stopped = not vcpu.runnable
         progress = vcpu.progress
         workload = progress.workload
         slot.workload = workload
@@ -398,9 +372,7 @@ class BatchTickEngine:
         core = slot.core
         system.context_switch(core, None)
         system.scheduler.refill_core(core)
-        if slot.stopped:
-            slot.stopped = False
-            self._stopped_count -= 1
+        slot.stopped = False
         self._dirty[slot.socket_id] = True
         vcpu = core.running
         if vcpu is None:
@@ -430,7 +402,6 @@ class BatchTickEngine:
         self._rebind_domains()
 
         # Prime every slot against the placement on_tick_start produced.
-        self._stopped_count = 0
         for slot in slots:
             occupant = slot.core.running
             if occupant is None:
@@ -451,23 +422,11 @@ class BatchTickEngine:
         prev_nop = self._prev_nop
         ver_after = self._ver_after
         fast_domain = self._fast_domain
-        use_numpy = self.use_numpy
 
         for _ in range(system.substeps_per_tick):
             self._stamp += 1
             stamp = self._stamp
             prev_stamp = stamp - 1
-            # Deferred memo-miss slots for the numpy kernel.  Safe only
-            # when no vacate can interleave (a vacate flushes, and
-            # deferred slots would flush stale mirrors) and jitter is off
-            # (the RNG stream must advance in core order).
-            defer: Optional[List[Tuple]] = (
-                []
-                if use_numpy
-                and self._stopped_count == 0
-                and jitter_stream is None
-                else None
-            )
 
             for slot in slots:
                 vcpu = slot.vcpu
@@ -561,9 +520,6 @@ class BatchTickEngine:
                     work_cycles = budget_cycles - penalty
                 else:
                     work_cycles = budget_cycles
-                if defer is not None:
-                    defer.append((slot, behavior, occupancy, work_cycles))
-                    continue
                 instructions, accesses, misses = self._step_floats(
                     slot, behavior, occupancy, work_cycles
                 )
@@ -584,9 +540,6 @@ class BatchTickEngine:
                     now_usec,
                     stamp,
                 )
-
-            if defer:
-                self._run_deferred(defer, now_usec, stamp)
 
             # Relaxation pass, one socket at a time, contributors in
             # core order (the scalar path builds its pressure dicts in
@@ -711,9 +664,7 @@ class BatchTickEngine:
                     now_usec + slot.workload.think_usec
                 )
                 system._sleeping_count += 1
-                if not slot.stopped:
-                    slot.stopped = True
-                    self._stopped_count += 1
+                slot.stopped = True
         scale = (
             instructions / raw_instructions if raw_instructions > 0 else 0.0
         )
@@ -756,124 +707,7 @@ class BatchTickEngine:
             self._mark_finished(slot, now_usec)
 
     def _mark_finished(self, slot: _CoreSlot, now_usec: int) -> None:
-        if not slot.stopped:
-            slot.stopped = True
-            self._stopped_count += 1
+        slot.stopped = True
         progress = slot.vcpu.progress
         if progress.finished_at_usec is None:
             progress.finished_at_usec = now_usec
-
-    # -- numpy kernel --------------------------------------------------------
-
-    def _run_deferred(
-        self, deferred: List[Tuple], now_usec: int, stamp: int
-    ) -> None:
-        """Finish memo-missing slots, vectorising when the batch is wide.
-
-        Deferral is order-safe here: no vacate can interleave (checked at
-        sub-step start) and the tail effects are per-slot independent, so
-        running the tails after the scan leaves identical state.
-        """
-        count = len(deferred)
-        if count < NUMPY_MIN_BATCH:
-            for slot, behavior, occupancy, work_cycles in deferred:
-                instructions, accesses, misses = self._step_floats(
-                    slot, behavior, occupancy, work_cycles
-                )
-                self._store_memo_and_finish(
-                    slot, behavior, occupancy, work_cycles,
-                    instructions, accesses, misses, now_usec, stamp,
-                )
-            return
-        wss = _np.empty(count)
-        lapki = _np.empty(count)
-        theta = _np.empty(count)
-        stream = _np.empty(count)
-        base_cpi = _np.empty(count)
-        mlp = _np.empty(count)
-        memory_cycles = _np.empty(count)
-        occupancy_arr = _np.empty(count)
-        work = _np.empty(count)
-        for index, (slot, behavior, occupancy, work_cycles) in enumerate(
-            deferred
-        ):
-            if behavior is not slot.m_behavior:
-                slot.m_behavior = None  # b_* must describe m_behavior
-                slot.b_wss = behavior.wss_lines
-                slot.b_lapki = behavior.lapki
-                slot.b_theta = behavior.locality_theta
-                slot.b_stream = behavior.stream_fraction
-                slot.b_base_cpi = behavior.base_cpi
-                slot.b_mlp = behavior.mlp
-                slot.b_cap = behavior.footprint_cap_lines
-            wss[index] = slot.b_wss
-            lapki[index] = slot.b_lapki
-            theta[index] = slot.b_theta
-            stream[index] = slot.b_stream
-            base_cpi[index] = slot.b_base_cpi
-            mlp[index] = slot.b_mlp
-            memory_cycles[index] = slot.memory_cycles
-            occupancy_arr[index] = occupancy
-            work[index] = float(work_cycles)
-        trivial = (wss <= 0.0) | (lapki == 0.0)
-        safe_wss = _np.where(trivial, 1.0, wss)
-        resident = _np.minimum(
-            1.0, _np.maximum(0.0, occupancy_arr / safe_wss)
-        )
-        # np.power diverges from CPython pow by 1 ulp on ~4% of inputs
-        # (SIMD pow); x ** 1.0 == x bitwise, so only theta != 1.0 needs
-        # the per-element Python pow.
-        reuse_hit = resident.copy()
-        for index in _np.nonzero(theta != 1.0)[0]:
-            reuse_hit[index] = float(resident[index]) ** float(theta[index])
-        hit = (1.0 - stream) * reuse_hit
-        hit[trivial] = 1.0
-        access_cost = hit * self._llc_cycles + (1.0 - hit) * memory_cycles
-        cpi = base_cpi + (lapki / 1000.0) * access_cost / mlp
-        instructions_arr = work / cpi
-        accesses_arr = instructions_arr * lapki / 1000.0
-        misses_arr = accesses_arr * (1.0 - hit)
-        for index, (slot, behavior, occupancy, work_cycles) in enumerate(
-            deferred
-        ):
-            # float() strips the numpy scalar type: the values flow into
-            # reports and json cannot serialise np.float64.
-            self._store_memo_and_finish(
-                slot, behavior, occupancy, work_cycles,
-                float(instructions_arr[index]),
-                float(accesses_arr[index]),
-                float(misses_arr[index]),
-                now_usec, stamp,
-            )
-
-    def _store_memo_and_finish(
-        self,
-        slot: _CoreSlot,
-        behavior,
-        occupancy: float,
-        work_cycles: int,
-        instructions: float,
-        accesses: float,
-        misses: float,
-        now_usec: int,
-        stamp: int,
-    ) -> None:
-        if work_cycles == slot.budget_cycles:
-            slot.m_behavior = behavior
-            slot.m_occ = occupancy
-            slot.r_instructions = instructions
-            slot.r_accesses = accesses
-            slot.r_misses = misses
-        # Deferred steps only exist with jitter off (checked at sub-step
-        # start), so no jitter fraction or stream is threaded through.
-        self._finish_step(
-            slot,
-            slot.budget_cycles,
-            instructions,
-            accesses,
-            misses,
-            0.0,
-            None,
-            now_usec,
-            stamp,
-        )

@@ -3,7 +3,6 @@
 import io
 import json
 import os
-import signal
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.experiments.campaign import (
     load_artifacts,
     run_campaign,
     run_one,
-    run_one_with_timeout,
     scan_artifacts,
     summarize_campaign,
     write_artifact,
@@ -58,14 +56,6 @@ def _nap():
 
 def _die_hard():
     os._exit(3)
-
-
-def _ignore_sigterm_and_hang():
-    import time
-
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    time.sleep(600)
-    return "never reached"
 
 
 @pytest.fixture
@@ -158,27 +148,48 @@ class TestCrashResilience:
             run_campaign(["not-an-experiment"])
 
 
+def run_timed(name, tmp_path, timeout_sec, **kwargs):
+    """One experiment through ``run_campaign``'s watchdog at ``jobs=1``.
+
+    Returns the experiment's artifact as written to disk.
+    """
+    json_dir = str(tmp_path / "timed")
+    run_campaign(
+        [name],
+        jobs=1,
+        json_dir=json_dir,
+        out=io.StringIO(),
+        timeout_sec=timeout_sec,
+        **kwargs,
+    )
+    path = os.path.join(json_dir, artifact_filename(name))
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 class TestWatchdog:
-    def test_hung_driver_killed_and_reported_like_a_crash(self, hangy):
-        artifact = run_one_with_timeout(hangy, timeout_sec=0.5)
+    def test_hung_driver_killed_and_reported_like_a_crash(
+        self, hangy, tmp_path
+    ):
+        artifact = run_timed(hangy, tmp_path, timeout_sec=0.5)
         assert artifact["schema"] == ARTIFACT_SCHEMA
         assert artifact["ok"] is False
         assert "TimeoutError" in artifact["error"]
         assert "watchdog killed 'hangy'" in artifact["error"]
         assert artifact["wall_time_sec"] >= 0.5
 
-    def test_fast_experiment_unaffected_by_watchdog(self):
-        artifact = run_one_with_timeout("table1", timeout_sec=30.0)
+    def test_fast_experiment_unaffected_by_watchdog(self, tmp_path):
+        artifact = run_timed("table1", tmp_path, timeout_sec=30.0)
         assert artifact["ok"] is True
         assert "8096 MB" in artifact["report"]
 
-    def test_worker_death_reported_not_raised(self, monkeypatch):
+    def test_worker_death_reported_not_raised(self, monkeypatch, tmp_path):
         monkeypatch.setitem(
             REGISTRY,
             "diehard",
             ExperimentSpec("diehard", "kills its worker", _die_hard),
         )
-        artifact = run_one_with_timeout("diehard", timeout_sec=30.0)
+        artifact = run_timed("diehard", tmp_path, timeout_sec=30.0)
         assert artifact["ok"] is False
         assert "ChildCrash" in artifact["error"]
 
@@ -206,32 +217,12 @@ class TestWatchdog:
         assert "watchdog killed" in out.getvalue()
 
     def test_invalid_timeout_rejected(self):
-        with pytest.raises(CampaignError):
-            run_campaign(["table1"], timeout_sec=0.0)
-        with pytest.raises(CampaignError):
-            run_one_with_timeout("table1", timeout_sec=-1.0)
-        with pytest.raises(CampaignError):
-            run_one_with_timeout("table1", timeout_sec=1.0, grace_sec=0.0)
-
-    def test_sigterm_ignoring_child_is_escalated_to_sigkill(
-        self, monkeypatch
-    ):
-        """terminate() alone used to hang the campaign forever here."""
-        monkeypatch.setitem(
-            REGISTRY,
-            "stubborn",
-            ExperimentSpec(
-                "stubborn", "ignores SIGTERM", _ignore_sigterm_and_hang
-            ),
-        )
-        artifact = run_one_with_timeout(
-            "stubborn", timeout_sec=0.5, grace_sec=0.4
-        )
-        assert artifact["ok"] is False
-        assert "TimeoutError" in artifact["error"]
-        # The whole escalation (timeout + grace + SIGKILL) stayed
-        # bounded — nowhere near the child's 600s sleep.
-        assert artifact["wall_time_sec"] < 10.0
+        for jobs in (1, 2):
+            for timeout_sec in (0.0, -1.0):
+                with pytest.raises(CampaignError):
+                    run_campaign(
+                        ["table1"], jobs=jobs, timeout_sec=timeout_sec
+                    )
 
     def test_watchdog_workers_run_concurrently(self, monkeypatch, tmp_path):
         """--jobs N with --timeout-sec is no longer serialized."""
@@ -498,8 +489,8 @@ class TestStreamingCampaign:
         from repro.telemetry.stream import read_stream
 
         stream_dir = str(tmp_path / "streams")
-        artifact = run_one_with_timeout(
-            chatty, timeout_sec=30.0, stream_dir=stream_dir
+        artifact = run_timed(
+            chatty, tmp_path, timeout_sec=30.0, stream_dir=stream_dir
         )
         assert artifact["ok"] is True
         assert artifact["stream"]["points_streamed"] == 40

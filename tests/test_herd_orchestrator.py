@@ -167,6 +167,32 @@ class TestFailureSemantics:
         artifact = json.loads((tmp_path / "hang.json").read_text())
         assert "TimeoutError" in artifact["error"]
 
+    def test_crash_text_matches_campaign_watchdog(
+        self, fixture_registry, tmp_path
+    ):
+        """One crash reads the same in `repro herd` and `repro run`."""
+        from repro.experiments.campaign import run_campaign
+
+        run_dir = tmp_path / "run"
+        herd_dir = tmp_path / "herd"
+        run_campaign(
+            ["poison"], json_dir=str(run_dir), out=io.StringIO(),
+            timeout_sec=30.0,
+        )
+        herd.run_herd(
+            ["poison"], str(herd_dir), _config(max_attempts=1),
+            out=io.StringIO(),
+        )
+        run_error = json.loads((run_dir / "poison.json").read_text())["error"]
+        assert run_error == (
+            "ChildCrash: experiment 'poison' worker died without reporting "
+            "(exit code 7)"
+        )
+        (point,) = _summary(herd_dir)["herd"]["points"]
+        assert point["history"][0]["error"] == run_error
+        herd_artifact = json.loads((herd_dir / "poison.json").read_text())
+        assert herd_artifact["error"] == f"quarantined: {run_error}"
+
     def test_poison_does_not_wedge_the_rest(self, fixture_registry, tmp_path):
         code = herd.run_herd(
             ["poison", "table1", "flaky"],

@@ -4,8 +4,8 @@ The engine has exactly one contract: every observable — truth metrics,
 integer-carry state, per-tick metric dicts, virtualised PMC readings and
 LLC occupancy trajectories — is bit-identical to the scalar reference
 path (``tick_engine="scalar"``).  The property test drives random fleets
-through both engines (and the numpy backend when numpy is importable)
-and compares full fingerprints for equality, not approximation.
+through both engines and compares full fingerprints for equality, not
+approximation.
 
 Also pins the multi-socket accounting bugfixes that shipped with the
 engine: socket-correct frequency in ``truth_llc_cap``, memory-node
@@ -33,14 +33,7 @@ from repro.workloads.phased import Phase, PhasedWorkload
 
 from conftest import make_vm
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-ENGINES = ["scalar", "batch"] + (["batch-numpy"] if HAVE_NUMPY else [])
+ENGINES = ["scalar", "batch"]
 
 
 def _socket(freq_khz: int, cores: int = 4) -> SocketSpec:
@@ -240,11 +233,14 @@ class TestEngineEquivalence:
                 == reference
             )
 
-    def test_rejects_unknown_engine(self):
+    @pytest.mark.parametrize("engine", ["vectorised-maybe", "batch-numpy"])
+    def test_rejects_unknown_engine(self, engine):
+        scheduler = CreditScheduler()
         with pytest.raises(ValueError):
-            VirtualizedSystem(
-                CreditScheduler(), tick_engine="vectorised-maybe"
-            )
+            VirtualizedSystem(scheduler, tick_engine=engine)
+        # Rejected before attach: the scheduler is not left bound to a
+        # half-built system.
+        assert scheduler.system is None
 
 
 # -- churn equivalence --------------------------------------------------------
@@ -369,7 +365,7 @@ class TestChurnEquivalence:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_engines_bit_identical_under_churn(self, ops, seed):
-        """Random admit/retire interleavings leave all three engines
+        """Random admit/retire interleavings leave both engines
         bit-identical: the batched slot mirrors rebuild correctly after
         every fleet invalidation."""
         reference = _churn_fingerprint("scalar", ops, seed)

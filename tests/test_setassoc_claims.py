@@ -1,10 +1,12 @@
-"""The set-associative simulator's paper claims, gated in the test suite.
+"""The paper's claims, gated in the test suite.
 
-``benchmarks/`` holds the replacement-policy and model cross-validation
-ablations as pytest-benchmark runs, which the plain test suite does not
-collect.  These tests call the same ``run_ablation`` functions and repeat
-their assertions, so any rewrite of the simulator must still reproduce
-the claims themselves, not only byte-identical goldens.
+``benchmarks/`` reproduces every table, figure and ablation as a
+pytest-benchmark run and asserts its headline claim (figure shapes,
+ablation orderings).  The plain test suite does not collect that
+directory, so this test runs each benchmark function once through a stub
+``benchmark`` fixture: the claims live in one copy, in ``benchmarks/``,
+and any change to the simulator must still reproduce them, not only the
+byte-identical goldens.
 """
 
 import importlib.util
@@ -14,14 +16,22 @@ from pathlib import Path
 import pytest
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+CLAIM_FILES = sorted(BENCHMARKS.glob("test_*.py"))
 
 
-def load_benchmark(name):
-    """Import ``benchmarks/<name>.py``, resolving its ``from conftest
-    import emit`` against the benchmarks' own conftest."""
+class OnceBenchmark:
+    """Stands in for pytest-benchmark's fixture: run the target once."""
 
-    def load(module_name, path):
-        spec = importlib.util.spec_from_file_location(module_name, path)
+    def pedantic(self, fn, args=(), kwargs=None, **_):
+        return fn(*args, **(kwargs or {}))
+
+
+def load_benchmark(path):
+    """Import one benchmark module, resolving its ``from conftest import
+    emit`` against the benchmarks' own conftest."""
+
+    def load(module_name, module_path):
+        spec = importlib.util.spec_from_file_location(module_name, module_path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
@@ -29,7 +39,7 @@ def load_benchmark(name):
     saved = sys.modules.get("conftest")
     sys.modules["conftest"] = load("benchmarks_conftest", BENCHMARKS / "conftest.py")
     try:
-        return load(f"benchmarks_{name}", BENCHMARKS / f"{name}.py")
+        return load(f"benchmarks_{path.stem}", path)
     finally:
         if saved is None:
             del sys.modules["conftest"]
@@ -37,18 +47,16 @@ def load_benchmark(name):
             sys.modules["conftest"] = saved
 
 
-def test_scan_resistant_policies_protect_the_hot_set():
-    results = load_benchmark("test_ablation_replacement_policies").run_ablation()
-    assert results["bip"] > results["lru"]
-    assert results["dip"] > results["lru"]
-    assert results["pdp"] >= results["lru"]
-    assert all(0.0 <= r <= 1.0 for r in results.values())
+def test_claim_files_present():
+    assert len(CLAIM_FILES) >= 19
 
 
-def test_occupancy_model_agrees_with_faithful_simulator():
-    results = load_benchmark("test_ablation_model_crossvalidation").run_ablation()
-    fa, fb = results["faithful"]
-    aa, ab = results["analytical"]
-    assert fb > fa and ab > aa
-    assert aa == pytest.approx(fa, abs=0.12)
-    assert ab == pytest.approx(fb, abs=0.12)
+@pytest.mark.parametrize("path", CLAIM_FILES, ids=lambda path: path.stem)
+def test_paper_claim(path):
+    module = load_benchmark(path)
+    claims = [
+        getattr(module, name) for name in dir(module) if name.startswith("test_")
+    ]
+    assert claims, f"{path.name} defines no test function"
+    for claim in claims:
+        claim(OnceBenchmark())
