@@ -44,8 +44,8 @@ series summaries (docs/reporting.md)::
 
 The repo's own static-analysis gate (docs/static_analysis.md) runs as::
 
-    python -m repro lint [paths ...] [--format json] [--baseline FILE]
-                         [--jobs N] [--cache FILE] [--warn-only]
+    python -m repro lint [paths ...] [--format json] [--warn-only]
+    python -m repro lint --rules
 """
 
 from __future__ import annotations
@@ -463,31 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     lint_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file; matching findings warn instead of failing",
-    )
-    lint_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings",
-    )
-    lint_parser.add_argument(
         "--rules",
         action="store_true",
         help="list the known rules and exit",
-    )
-    lint_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze files with N worker processes (default: 1)",
-    )
-    lint_parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="on-disk facts cache; skips re-analysis of unchanged files",
     )
     lint_parser.add_argument(
         "--warn-only",
@@ -835,16 +813,18 @@ def run_report(args, out=sys.stdout) -> int:
 
 def run_lint(args, out=sys.stdout) -> int:
     """The ``repro lint`` subcommand (see repro.lint)."""
-    from repro import lint as kyotolint
+    from repro.lint.report import exit_code, format_json, format_text
+    from repro.lint.rules import ALL_PROGRAM_RULES, ALL_RULES
+    from repro.lint.walker import lint_paths
 
     if args.rules:
         out.write("per-file rules (phase 1):\n")
-        for rule in kyotolint.ALL_RULES:
+        for rule in ALL_RULES:
             out.write(
                 f"  {rule.rule_id}  [{rule.severity:7s}] {rule.description}\n"
             )
         out.write("whole-program rules (phase 2):\n")
-        for rule in kyotolint.ALL_PROGRAM_RULES:
+        for rule in ALL_PROGRAM_RULES:
             out.write(
                 f"  {rule.rule_id}  [{rule.severity:7s}] {rule.description}\n"
             )
@@ -854,31 +834,13 @@ def run_lint(args, out=sys.stdout) -> int:
     if missing:
         sys.stderr.write(f"repro lint: error: no such path: {', '.join(missing)}\n")
         return 2
-    findings = kyotolint.lint_paths(
-        paths, jobs=args.jobs, cache_path=args.cache
-    )
+    findings = lint_paths(paths)
     if args.warn_only:
         for finding in findings:
             finding.severity = "warning"
-    if args.baseline:
-        if args.update_baseline:
-            kyotolint.Baseline.from_findings(findings).save(args.baseline)
-            out.write(
-                f"baseline {args.baseline} updated "
-                f"({len(findings)} entries)\n"
-            )
-            return 0
-        try:
-            baseline = kyotolint.Baseline.load(args.baseline)
-        except kyotolint.BaselineError as exc:
-            sys.stderr.write(f"repro lint: error: {exc}\n")
-            return 2
-        baseline.apply(findings)
-    formatter = (
-        kyotolint.format_json if args.format == "json" else kyotolint.format_text
-    )
+    formatter = format_json if args.format == "json" else format_text
     out.write(formatter(findings) + "\n")
-    return kyotolint.exit_code(findings)
+    return exit_code(findings)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

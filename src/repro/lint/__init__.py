@@ -9,71 +9,14 @@ both statically over the AST (:mod:`repro.lint.walker`,
 :mod:`repro.lint.rules`) and dynamically via invariant contracts
 (:mod:`repro.lint.contracts`).
 
-Run it as ``repro lint [paths] [--format json] [--baseline FILE]``, or
-programmatically::
+This package deliberately re-exports nothing: the simulator imports
+:mod:`repro.lint.contracts`, and an import here would load the whole
+analyzer into every simulation process.  Run the analyzer as
+``repro lint [paths] [--format json]``, or programmatically::
 
-    from repro.lint import lint_paths, exit_code
+    from repro.lint.report import exit_code
+    from repro.lint.walker import lint_paths
+
     findings = lint_paths(["src/repro"])
     assert exit_code(findings) == 0
 """
-
-from .analyzer import analyze_paths
-from .baseline import Baseline, BaselineError
-from .contracts import (
-    ContractViolation,
-    InvariantChecker,
-    check,
-    contracts_enabled,
-    invariant,
-    set_contracts_enabled,
-)
-from .facts import FACTS_VERSION, ModuleFacts, Program, extract_facts
-from .report import exit_code, failing_findings, format_json, format_text
-from .rules import (
-    ALL_PROGRAM_RULES,
-    ALL_RULES,
-    RULES_BY_ID,
-    RULES_VERSION,
-    Finding,
-    ProgramRule,
-    Rule,
-)
-from .walker import (
-    clear_cache,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-
-__all__ = [
-    "ALL_PROGRAM_RULES",
-    "ALL_RULES",
-    "Baseline",
-    "BaselineError",
-    "ContractViolation",
-    "FACTS_VERSION",
-    "Finding",
-    "InvariantChecker",
-    "ModuleFacts",
-    "Program",
-    "ProgramRule",
-    "RULES_BY_ID",
-    "RULES_VERSION",
-    "Rule",
-    "analyze_paths",
-    "check",
-    "clear_cache",
-    "contracts_enabled",
-    "exit_code",
-    "extract_facts",
-    "failing_findings",
-    "format_json",
-    "format_text",
-    "invariant",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "set_contracts_enabled",
-]

@@ -7,7 +7,7 @@ point reaching a module-global mutation three calls away, a telemetry
 counter incremented under one name and read under another.
 
 This module extracts, from the same single parse the per-file rules use,
-a JSON-serializable :class:`ModuleFacts` record per file:
+a :class:`ModuleFacts` record per file:
 
 * defined top-level symbols and per-function metadata (nesting,
   ``global`` writes, mutations of module-level mutable state),
@@ -22,11 +22,6 @@ a JSON-serializable :class:`ModuleFacts` record per file:
 * worker fan-out sites (``multiprocessing.Process(target=...)``,
   ``pool.imap(func, ...)``),
 * the file's pragma table, so phase 2 can honour suppressions.
-
-Everything is plain dicts/lists so the on-disk facts cache
-(:mod:`repro.lint.analyzer`) can round-trip records without pickling.
-Bump :data:`FACTS_VERSION` whenever the extracted shape changes — it is
-part of the cache key.
 """
 
 from __future__ import annotations
@@ -36,10 +31,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .rules.base import call_name, source_line_hash
-
-#: Version of the extracted fact shape; part of the on-disk cache key.
-FACTS_VERSION = 1
+from .pragmas import PragmaTable
+from .rules.base import call_name
 
 #: Method names that record telemetry, mapped to the metric kind.
 _TELEMETRY_WRITERS = {"inc": "counter", "gauge": "gauge", "record": "series"}
@@ -114,42 +107,14 @@ class ModuleFacts:
     worker_sites: List[Dict[str, Any]] = field(default_factory=list)
     str_constants: Dict[str, str] = field(default_factory=dict)
     mutable_globals: Dict[str, int] = field(default_factory=dict)
-    pragmas: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "defines": self.defines,
-            "functions": self.functions,
-            "calls": self.calls,
-            "imports": self.imports,
-            "from_imports": self.from_imports,
-            "rng_sites": self.rng_sites,
-            "telemetry_writes": self.telemetry_writes,
-            "telemetry_reads": self.telemetry_reads,
-            "schema_sites": self.schema_sites,
-            "worker_sites": self.worker_sites,
-            "str_constants": self.str_constants,
-            "mutable_globals": self.mutable_globals,
-            "pragmas": self.pragmas,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleFacts":
-        facts = cls(path=data["path"])
-        for key, value in data.items():
-            if key != "path" and hasattr(facts, key):
-                setattr(facts, key, value)
-        return facts
+    pragmas: PragmaTable = field(default_factory=PragmaTable)
 
 
 class _FactsVisitor:
     """One recursive walk collecting every fact family at once."""
 
-    def __init__(self, facts: ModuleFacts, lines: List[str]) -> None:
+    def __init__(self, facts: ModuleFacts) -> None:
         self.facts = facts
-        self.lines = lines
         #: Stack of enclosing scopes: ("module"|"class"|"function", name).
         self.scope: List[Tuple[str, str]] = []
         self.package = _package_of(
@@ -158,18 +123,12 @@ class _FactsVisitor:
 
     # -- helpers ----------------------------------------------------------
 
-    def _line_hash(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return source_line_hash(self.lines[lineno - 1])
-        return ""
-
     def _site(self, node: ast.AST) -> Dict[str, Any]:
         line = getattr(node, "lineno", 1)
         return {
             "line": line,
             "col": getattr(node, "col_offset", 0),
             "end_line": getattr(node, "end_lineno", None) or line,
-            "line_hash": self._line_hash(line),
         }
 
     def _qualname(self) -> str:
@@ -585,9 +544,8 @@ class _FactsVisitor:
 
 def extract_facts(
     tree: Optional[ast.Module],
-    source: str,
     path: str,
-    pragmas: Optional[Dict[str, Any]] = None,
+    pragmas: Optional[PragmaTable] = None,
 ) -> ModuleFacts:
     """Extract one module's facts from its already-parsed AST.
 
@@ -595,12 +553,11 @@ def extract_facts(
     the path/module identity so phase 2 skips it gracefully.
     """
     facts = ModuleFacts(path=path, module=module_name_of(path))
-    if pragmas:
+    if pragmas is not None:
         facts.pragmas = pragmas
     if tree is None:
         return facts
-    visitor = _FactsVisitor(facts, source.splitlines())
-    visitor.walk(tree)
+    _FactsVisitor(facts).walk(tree)
     return facts
 
 

@@ -12,16 +12,15 @@ Two forms, both comments:
   line (``# kyotolint: disable=D001  # kyotolint: disable-file=U002``);
   each is parsed independently.
 
-A pragma is a *justified* suppression: unlike a baseline entry it lives in
-the code next to the violation, so reviewers see it.  Prefer pragmas with
-a trailing justification comment over baseline entries for anything
-permanent.
+A pragma is a *justified* suppression: it lives in the code next to the
+violation, so reviewers see it.  Give every pragma a trailing
+justification comment.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 # `disable` must not swallow `disable-file`: the lookahead requires `=`
 # immediately after the keyword, and the file form is matched first on
@@ -41,7 +40,7 @@ def _parse_rule_list(raw: str) -> Set[str]:
 class PragmaTable:
     """Suppression state extracted from one file's source text."""
 
-    def __init__(self, source: str) -> None:
+    def __init__(self, source: str = "") -> None:
         self.line_disables: Dict[int, Set[str]] = {}
         self.file_disables: Set[str] = set()
         for lineno, text in enumerate(source.splitlines(), start=1):
@@ -69,37 +68,3 @@ class PragmaTable:
             if disabled and (rule_id in disabled or "ALL" in disabled):
                 return True
         return False
-
-    # -- serialization (for the facts cache / phase-2 suppression) --------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "file": sorted(self.file_disables),
-            "lines": {
-                str(line): sorted(rules)
-                for line, rules in sorted(self.line_disables.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PragmaTable":
-        table = cls("")
-        table.file_disables = set(data.get("file", []))
-        table.line_disables = {
-            int(line): set(rules)
-            for line, rules in data.get("lines", {}).items()
-        }
-        return table
-
-
-def suppressed_findings_removed(
-    findings: List[Any], table: PragmaTable
-) -> List[Any]:
-    """Filter a finding list through one file's pragma table."""
-    return [
-        finding
-        for finding in findings
-        if not table.is_suppressed(
-            finding.rule_id, finding.line, finding.end_line or finding.line
-        )
-    ]

@@ -15,10 +15,8 @@ from .rules.base import Finding
 
 
 def failing_findings(findings: List[Finding]) -> List[Finding]:
-    """Findings that should fail the run (error severity, not baselined)."""
-    return [
-        f for f in findings if f.severity == "error" and not f.baselined
-    ]
+    """Findings that should fail the run (error severity)."""
+    return [f for f in findings if f.severity == "error"]
 
 
 def exit_code(findings: List[Finding]) -> int:
@@ -31,8 +29,7 @@ def format_text(findings: List[Finding]) -> str:
     if not findings:
         return "kyotolint: clean (no findings)"
     lines = [
-        f"{f.location()}: {f.rule_id} {f.severity}"
-        f"{' (baselined)' if f.baselined else ''}: {f.message}"
+        f"{f.location()}: {f.rule_id} {f.severity}: {f.message}"
         for f in findings
     ]
     by_rule = Counter(f.rule_id for f in findings)
@@ -51,11 +48,10 @@ def format_json(findings: List[Finding]) -> str:
     """Machine-readable report (stable schema, sorted findings)."""
     payload = {
         "tool": "kyotolint",
-        "version": 1,
+        "version": 2,
         "summary": {
             "total": len(findings),
             "failing": len(failing_findings(findings)),
-            "baselined": sum(1 for f in findings if f.baselined),
             "by_rule": dict(
                 sorted(Counter(f.rule_id for f in findings).items())
             ),

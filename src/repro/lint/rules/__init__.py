@@ -7,10 +7,6 @@ Two kinds of rules:
 * whole-program rules (:data:`ALL_PROGRAM_RULES`) run in phase 2 over
   the joined fact base (:mod:`repro.lint.facts`) and may relate sites
   across modules.
-
-:data:`RULES_VERSION` keys the on-disk facts/findings cache: bump it
-whenever any rule's behaviour changes so stale cached findings are
-recomputed.
 """
 
 from __future__ import annotations
@@ -29,9 +25,6 @@ from .flow import DuplicateStreamNameRule, UnitFlowRule, UntrackableStreamNameRu
 from .hygiene import MutableDefaultRule, SwallowedExceptionRule
 from .telemetry import SchemaDriftRule, TelemetryNameFlowRule
 from .units import FloatEqualityRule, MixedUnitArithmeticRule
-
-#: Bumped whenever rule behaviour changes; part of the cache key.
-RULES_VERSION = "2.0"
 
 #: Every per-file AST rule kyotolint knows, in reporting order.
 ALL_RULES: List[Type[Rule]] = [
@@ -64,7 +57,6 @@ __all__ = [
     "ALL_PROGRAM_RULES",
     "ALL_RULES",
     "RULES_BY_ID",
-    "RULES_VERSION",
     "FileContext",
     "Finding",
     "ProgramRule",

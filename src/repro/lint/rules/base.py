@@ -22,9 +22,6 @@ class Finding:
     ``end_line`` is the last physical line of the flagged construct (0
     means "same as line"); pragma suppression honours the whole span so
     a ``# kyotolint: disable=...`` on a continuation line works.
-    ``source_hash`` anchors the finding to the *content* of its source
-    line so baseline entries survive unrelated edits that shift line
-    numbers (see :mod:`repro.lint.baseline`).
     """
 
     rule_id: str
@@ -33,13 +30,7 @@ class Finding:
     col: int
     message: str
     severity: str = "error"
-    baselined: bool = False
     end_line: int = 0
-    source_hash: str = ""
-
-    def span(self) -> Tuple[int, int]:
-        """(first, last) physical line of the flagged construct."""
-        return (self.line, max(self.line, self.end_line))
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -52,29 +43,7 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "severity": self.severity,
-            "baselined": self.baselined,
-            "line_hash": self.source_hash,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            rule_id=data["rule"],
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=data["message"],
-            severity=data.get("severity", "error"),
-            baselined=bool(data.get("baselined", False)),
-            source_hash=data.get("line_hash", ""),
-        )
-
-
-def source_line_hash(text: str) -> str:
-    """Content anchor of one source line: sha256 of the stripped text."""
-    import hashlib
-
-    return hashlib.sha256(text.strip().encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -114,7 +83,7 @@ class Rule:
     rule_id: str = "X000"
     #: One-line description shown by ``repro lint --rules``.
     description: str = ""
-    #: Default severity of fresh (non-baselined) findings.
+    #: Severity of this rule's findings; ``"error"`` gates.
     severity: str = "error"
     #: AST node classes this rule wants to see.
     node_types: Tuple[Type[ast.AST], ...] = ()
@@ -158,8 +127,8 @@ class ProgramRule:
     every file has been parsed once, over the joined
     :class:`repro.lint.facts.Program` fact base, and may relate call
     sites across modules (RNG stream provenance, worker-reachable state,
-    telemetry name flow).  Pragma and baseline handling are applied by
-    the analyzer exactly as for per-file findings.
+    telemetry name flow).  Pragmas are applied by
+    :func:`repro.lint.walker.lint_paths` exactly as for per-file findings.
     """
 
     #: Stable identifier, e.g. ``"S001"``.
@@ -183,7 +152,6 @@ class ProgramRule:
             message=message,
             severity=self.severity,
             end_line=int(site.get("end_line", 0)),
-            source_hash=site.get("line_hash", ""),
         )
 
 

@@ -1,36 +1,31 @@
-"""Single-pass multi-rule AST walker with per-file caching.
+"""Two-phase, single-pass lint driver.
 
-One parse and one tree traversal per file regardless of how many rules
-are active: rules declare the node types they care about and the walker
-dispatches each node to the interested rules only.  The same parse feeds
-phase-1 fact extraction (:mod:`repro.lint.facts`), so whole-program
-analysis never re-parses a file.  Results are cached per
-(path, content-hash, rules-version) so the pytest lint gate and a CLI
-run in the same process never re-lint an unchanged file.
+Phase 1 visits every file exactly once: one :func:`ast.parse` feeds both
+the per-file AST rules and the fact extractor (:mod:`repro.lint.facts`).
+Rules declare the node types they care about and the walker dispatches
+each node to the interested rules only, so one tree traversal serves
+every rule.
 
-:func:`lint_paths` is the two-phase entry point (per-file rules plus the
-S/C/T program rules); :func:`lint_source` / :func:`lint_file` are the
-per-file half, used by rule unit tests and by anything that only has one
-file's text.
+Phase 2 joins every module's facts into a :class:`repro.lint.facts.Program`
+and runs the whole-program rules (S/C/T families).  Program-rule
+findings are suppressed through the *flagged file's* pragma table, which
+travels inside its facts, so phase 2 never re-reads source.
+
+:func:`lint_paths` runs both phases and is the only entry point over
+files; :func:`lint_source` is the per-file half, used by rule unit tests
+and by anything that only has one file's text.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
-import hashlib
 import pathlib
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .facts import ModuleFacts, extract_facts
+from .facts import ModuleFacts, Program, extract_facts
 from .pragmas import PragmaTable
-from .rules import ALL_RULES, RULES_VERSION
-from .rules.base import FileContext, Finding, Rule, source_line_hash
-
-#: (posix path, sha256, rules version) -> (findings, facts).
-#: Process-lifetime cache; findings are copied out so baseline/severity
-#: mutations by one caller never leak into the next.
-_CACHE: Dict[Tuple[str, str, str], Tuple[List[Finding], ModuleFacts]] = {}
+from .rules import ALL_PROGRAM_RULES, ALL_RULES
+from .rules.base import FileContext, Finding, Rule
 
 
 def _collect_imports(tree: ast.Module, ctx: FileContext) -> None:
@@ -72,23 +67,14 @@ def normalize_path(path: str) -> str:
     return posix
 
 
-def content_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _attach_source_hashes(findings: List[Finding], lines: List[str]) -> None:
-    for finding in findings:
-        if not finding.source_hash and 1 <= finding.line <= len(lines):
-            finding.source_hash = source_line_hash(lines[finding.line - 1])
+def _sort_key(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.col, finding.rule_id)
 
 
 def analyze_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Iterable[Type[Rule]]] = None,
+    source: str, path: str = "<string>"
 ) -> Tuple[List[Finding], ModuleFacts]:
     """One parse of one file: per-file findings plus extracted facts."""
-    rule_classes = list(ALL_RULES if rules is None else rules)
     ctx = FileContext(path=normalize_path(path))
     try:
         tree: Optional[ast.Module] = ast.parse(source)
@@ -100,12 +86,11 @@ def analyze_source(
             col=exc.offset or 0,
             message=f"syntax error: {exc.msg}",
         )
-        _attach_source_hashes([finding], source.splitlines())
-        return [finding], extract_facts(None, source, ctx.path)
+        return [finding], extract_facts(None, ctx.path)
     _collect_imports(tree, ctx)
     pragmas = PragmaTable(source)
 
-    instances = [rule_class() for rule_class in rule_classes]
+    instances = [rule_class() for rule_class in ALL_RULES]
     dispatch: Dict[type, List[Rule]] = {}
     for rule in instances:
         for node_type in rule.node_types:
@@ -122,17 +107,11 @@ def analyze_source(
                 finding.rule_id, finding.line, finding.end_line
             ):
                 findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    _attach_source_hashes(findings, source.splitlines())
-    facts = extract_facts(tree, source, ctx.path, pragmas=pragmas.to_dict())
-    return findings, facts
+    findings.sort(key=_sort_key)
+    return findings, extract_facts(tree, ctx.path, pragmas=pragmas)
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Iterable[Type[Rule]]] = None,
-) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one file's source text and return its per-file findings.
 
     ``path`` participates in rule allowlists (e.g. ``simulation/rng.py``
@@ -141,30 +120,7 @@ def lint_source(
     (S/C/T) rules need the full fact base and only run via
     :func:`lint_paths`.
     """
-    findings, _ = analyze_source(source, path=path, rules=rules)
-    return findings
-
-
-def analyze_file(
-    path: str, rules: Optional[Iterable[Type[Rule]]] = None
-) -> Tuple[List[Finding], ModuleFacts]:
-    """Analyze one file from disk, with content-hash caching."""
-    text = pathlib.Path(path).read_text(encoding="utf-8")
-    key = (normalize_path(path), content_hash(text), RULES_VERSION)
-    if rules is None and key in _CACHE:
-        cached_findings, cached_facts = _CACHE[key]
-        return [dataclasses.replace(f) for f in cached_findings], cached_facts
-    findings, facts = analyze_source(text, path=path, rules=rules)
-    if rules is None:
-        _CACHE[key] = ([dataclasses.replace(f) for f in findings], facts)
-    return findings, facts
-
-
-def lint_file(
-    path: str, rules: Optional[Iterable[Type[Rule]]] = None
-) -> List[Finding]:
-    """Lint one file from disk (per-file rules only), with caching."""
-    findings, _ = analyze_file(path, rules=rules)
+    findings, _ = analyze_source(source, path=path)
     return findings
 
 
@@ -180,26 +136,45 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(set(result))
 
 
-def lint_paths(
-    paths: Iterable[str],
-    rules: Optional[Iterable[Type[Rule]]] = None,
-    jobs: int = 1,
-    cache_path: Optional[str] = None,
-) -> List[Finding]:
+def _program_findings(modules: List[ModuleFacts]) -> List[Finding]:
+    """Phase 2: every whole-program rule over the joined fact base."""
+    program = Program(modules)
+    findings: List[Finding] = []
+    for rule_class in ALL_PROGRAM_RULES:
+        for finding in rule_class().check(program):
+            facts = program.by_path.get(finding.path)
+            if facts is None or not facts.pragmas.is_suppressed(
+                finding.rule_id, finding.line, finding.end_line
+            ):
+                findings.append(finding)
+    return findings
+
+
+def lint_paths(paths: Iterable[str]) -> List[Finding]:
     """Two-phase lint of every ``.py`` file under ``paths``.
 
-    Phase 1 runs the per-file AST rules and extracts module facts (one
-    parse per file, optionally fanned out over ``jobs`` worker
-    processes and memoized in the on-disk ``cache_path``); phase 2 joins
-    the facts and runs the whole-program S/C/T rules.  Passing explicit
-    ``rules`` restricts phase 1 and skips phase 2 (legacy single-rule
-    testing mode).
+    A file that cannot be read or decoded as UTF-8 yields an error-tier
+    ``E999`` finding rather than being skipped, so the gate fails loudly.
     """
-    from .analyzer import analyze_paths
-
-    return analyze_paths(paths, rules=rules, jobs=jobs, cache_path=cache_path)
-
-
-def clear_cache() -> None:
-    """Drop the per-file findings/facts cache (tests)."""
-    _CACHE.clear()
+    findings: List[Finding] = []
+    modules: List[ModuleFacts] = []
+    for path in iter_python_files(str(p) for p in paths):
+        try:
+            text = pathlib.Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            findings.append(
+                Finding(
+                    rule_id="E999",
+                    path=normalize_path(path),
+                    line=1,
+                    col=0,
+                    message=f"cannot read file: {exc}",
+                )
+            )
+            continue
+        file_findings, facts = analyze_source(text, path=path)
+        findings.extend(file_findings)
+        modules.append(facts)
+    findings.extend(_program_findings(modules))
+    findings.sort(key=_sort_key)
+    return findings

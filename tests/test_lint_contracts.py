@@ -7,6 +7,11 @@ component misbehaves.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.engine import KyotoEngine
@@ -27,6 +32,8 @@ from repro.cachesim.occupancy import LlcOccupancyDomain
 from repro.schedulers.credit import CreditScheduler
 from repro.simulation.engine import Engine
 from repro.workloads.profiles import application_workload
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -204,3 +211,25 @@ def test_full_simulation_run_passes_contracts():
     kyoto = system.scheduler.kyoto
     assert kyoto.invariants.evaluated("quota-cap") > 0
     assert not kyoto.invariants.violations
+
+
+def test_simulator_imports_contracts_but_not_the_analyzer():
+    """Simulation processes load ``repro.lint.contracts`` and nothing else
+    of kyotolint: the static analyzer stays out of the import graph."""
+    probe = (
+        "import sys\n"
+        "import repro.core.engine, repro.experiments.registry, "
+        "repro.hypervisor.system\n"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('repro.lint'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.split() == ["repro.lint", "repro.lint.contracts"]

@@ -1,4 +1,4 @@
-"""Phase-1 fact extraction, the on-disk facts cache, and CLI plumbing."""
+"""Phase-1 fact extraction, the call graph, and CLI plumbing."""
 
 from __future__ import annotations
 
@@ -8,16 +8,17 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import Optional
 
-from repro.lint import Program, analyze_paths, extract_facts
 from repro.lint.callgraph import CallGraph
+from repro.lint.facts import Program, extract_facts
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 
 
 def facts_of(source: str, path: str = "repro/demo.py"):
-    return extract_facts(ast.parse(source), source, path)
+    return extract_facts(ast.parse(source), path)
 
 
 # -- extraction ---------------------------------------------------------------
@@ -74,18 +75,6 @@ def test_global_rebinding_recorded_per_function():
     assert facts.functions["install"]["global_writes"] == ["_current"]
 
 
-def test_facts_round_trip_through_json():
-    facts = facts_of(
-        'def f(host_rng):\n    return host_rng.stream("x")\n'
-    )
-    from repro.lint import ModuleFacts
-
-    clone = ModuleFacts.from_dict(
-        json.loads(json.dumps(facts.to_dict()))
-    )
-    assert clone.to_dict() == facts.to_dict()
-
-
 def test_callgraph_resolves_relative_from_imports():
     pkg_a = facts_of(
         "from .other import leaf\n\n\ndef entry():\n    return leaf()\n",
@@ -99,81 +88,16 @@ def test_callgraph_resolves_relative_from_imports():
     assert "repro.demo.other:leaf" in reached
 
 
-# -- on-disk facts cache ------------------------------------------------------
-
-
-def _sentinel_record():
-    return {
-        "rule": "Z999",
-        "path": "sentinel.py",
-        "line": 1,
-        "col": 0,
-        "message": "served from the on-disk cache",
-        "severity": "warning",
-        "baselined": False,
-        "line_hash": "",
-        "end_line": 1,
-    }
-
-
-def test_disk_cache_hit_and_content_invalidation(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import random\nx = random.random()\n")
-    cache = tmp_path / "cache.json"
-
-    first = analyze_paths([str(tmp_path)], cache_path=str(cache))
-    assert [f.rule_id for f in first] == ["D001"]
-    payload = json.loads(cache.read_text())
-    assert payload["schema"] == "kyotolint.facts-cache/1"
-
-    # Plant a sentinel finding inside the cached entry: if the next run
-    # reports it, the result came from the cache, not a re-analysis.
-    (entry,) = payload["files"].values()
-    entry["findings"].append(_sentinel_record())
-    cache.write_text(json.dumps(payload))
-    cached = analyze_paths([str(tmp_path)], cache_path=str(cache))
-    assert "Z999" in [f.rule_id for f in cached]
-
-    # Changing the file's content must invalidate its entry.
-    target.write_text("import random\ny = random.random()\n")
-    fresh = analyze_paths([str(tmp_path)], cache_path=str(cache))
-    assert "Z999" not in [f.rule_id for f in fresh]
-    assert [f.rule_id for f in fresh] == ["D001"]
-
-
-def test_disk_cache_rules_version_bump_invalidates(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import random\nx = random.random()\n")
-    cache = tmp_path / "cache.json"
-    analyze_paths([str(tmp_path)], cache_path=str(cache))
-
-    payload = json.loads(cache.read_text())
-    (entry,) = payload["files"].values()
-    entry["findings"].append(_sentinel_record())
-    payload["rules_version"] = "0.0-stale"
-    cache.write_text(json.dumps(payload))
-
-    findings = analyze_paths([str(tmp_path)], cache_path=str(cache))
-    assert "Z999" not in [f.rule_id for f in findings]
-    # The cache file is rewritten under the current version.
-    assert json.loads(cache.read_text())["rules_version"] != "0.0-stale"
-
-
-def test_corrupt_cache_is_ignored(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import random\nx = random.random()\n")
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    findings = analyze_paths([str(tmp_path)], cache_path=str(cache))
-    assert [f.rule_id for f in findings] == ["D001"]
-
-
 # -- CLI: determinism, rule listing, warn tier --------------------------------
 
 
-def _run_lint_cli(*args: str) -> subprocess.CompletedProcess:
+def _run_lint_cli(
+    *args: str, hash_seed: Optional[str] = None
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
@@ -183,10 +107,11 @@ def _run_lint_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_parallel_json_runs_are_byte_identical():
-    args = (str(FIXTURES), "--jobs", "4", "--format", "json")
-    first = _run_lint_cli(*args)
-    second = _run_lint_cli(*args)
+def test_json_report_is_byte_identical_across_hash_seeds():
+    """Set and dict order must never leak into the report."""
+    args = (str(FIXTURES), "--format", "json")
+    first = _run_lint_cli(*args, hash_seed="0")
+    second = _run_lint_cli(*args, hash_seed="1")
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)
     assert payload["summary"]["total"] > 0

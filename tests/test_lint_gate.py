@@ -1,53 +1,39 @@
 """The standing lint gate: src/repro must stay kyotolint-clean.
 
 This is the enforcement half of docs/static_analysis.md — any new
-violation anywhere under ``src/repro`` that is neither pragma'd nor
-baselined fails the test suite.
+violation anywhere under ``src/repro`` that is not pragma'd fails the
+test suite.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import pathlib
 
 import repro
-from repro.lint import (
-    Baseline,
-    exit_code,
-    failing_findings,
-    format_text,
-    lint_paths,
-    lint_source,
-)
+from repro.cli import build_parser, run_lint
+from repro.lint.report import exit_code, failing_findings, format_text
+from repro.lint.walker import iter_python_files, lint_paths, lint_source
 
-REPO_ROOT = pathlib.Path(repro.__file__).resolve().parent.parent.parent
 PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
-BASELINE_PATH = REPO_ROOT / "kyotolint-baseline.json"
 
 
 def test_src_repro_is_lint_clean():
-    findings = lint_paths([str(PACKAGE_DIR)])
-    baseline = (
-        Baseline.load(str(BASELINE_PATH))
-        if BASELINE_PATH.exists()
-        else Baseline()
-    )
-    baseline.apply(findings)
-    assert exit_code(findings) == 0, (
-        "kyotolint violations in src/repro:\n" + format_text(findings)
-    )
+    """The CI gate itself: ``repro lint`` over the default package exits 0."""
+    out = io.StringIO()
+    code = run_lint(build_parser().parse_args(["lint", "--format", "json"]), out=out)
+    assert code == 0, "kyotolint violations in src/repro:\n" + out.getvalue()
+    assert json.loads(out.getvalue())["findings"] == []
 
 
 def test_src_repro_has_no_findings_at_all():
     """Stronger than the exit-code gate: even warn-tier findings are
     fixed or pragma'd with a justification, across both phases."""
     findings = lint_paths([str(PACKAGE_DIR)])
-    assert findings == [], format_text(findings)
-
-
-def test_baseline_is_empty():
-    """Acceptance bar: everything is fixed or pragma'd, nothing grandfathered."""
-    if BASELINE_PATH.exists():
-        assert len(Baseline.load(str(BASELINE_PATH))) == 0
+    assert findings == [], (
+        "kyotolint findings in src/repro:\n" + format_text(findings)
+    )
 
 
 def test_gate_catches_injected_nondeterminism(tmp_path):
@@ -61,8 +47,6 @@ def test_gate_catches_injected_nondeterminism(tmp_path):
 
 def test_gate_checks_every_source_file():
     """The gate's file sweep sees the whole package (no silent pruning)."""
-    from repro.lint import iter_python_files
-
     files = iter_python_files([str(PACKAGE_DIR)])
     assert len(files) > 80  # 89 modules at the time of writing; growing
     assert any(path.endswith("core/engine.py") for path in files)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.lint import exit_code, lint_paths
+from repro.lint.report import exit_code
+from repro.lint.walker import lint_paths
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 
@@ -125,8 +126,3 @@ def test_program_findings_respect_pragmas(tmp_path):
     ]
     assert len(findings) == 1
     assert findings[0].path.endswith("a.py")
-
-
-def test_program_findings_carry_line_hashes():
-    findings = rule_findings("s001", "S001")
-    assert all(f.source_hash for f in findings)

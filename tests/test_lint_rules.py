@@ -1,7 +1,7 @@
 """Table-driven tests for every kyotolint rule.
 
 Each case is a minimal snippet that must (or must not) trigger exactly
-the rule under test; pragma and baseline behaviour get their own cases.
+the rule under test; pragma behaviour and reporting get their own cases.
 """
 
 from __future__ import annotations
@@ -10,16 +10,8 @@ import json
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    clear_cache,
-    exit_code,
-    format_json,
-    format_text,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
+from repro.lint.report import exit_code, format_json, format_text
+from repro.lint.walker import lint_paths, lint_source
 
 #: (case id, rule id expected, snippet, should_fire)
 RULE_CASES = [
@@ -398,108 +390,6 @@ def test_disable_file_then_disable_on_same_line():
     assert lint_source(source, path="repro/example.py") == []
 
 
-# -- baseline -----------------------------------------------------------------
-
-
-def test_baseline_demotes_to_warning(tmp_path):
-    source = "import random\nx = random.random()\n"
-    findings = lint_source(source, path="repro/example.py")
-    assert exit_code(findings) == 1
-
-    baseline = Baseline.from_findings(findings)
-    path = tmp_path / "baseline.json"
-    baseline.save(str(path))
-
-    reloaded = Baseline.load(str(path))
-    fresh = lint_source(source, path="repro/example.py")
-    reloaded.apply(fresh)
-    assert all(f.baselined and f.severity == "warning" for f in fresh)
-    assert exit_code(fresh) == 0
-
-
-def test_new_violation_fails_despite_baseline(tmp_path):
-    old = lint_source(
-        "import random\nx = random.random()\n", path="repro/example.py"
-    )
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(old).save(str(path))
-
-    grown = lint_source(
-        "import random\nx = random.random()\nimport time\nt = time.time()\n",
-        path="repro/example.py",
-    )
-    Baseline.load(str(path)).apply(grown)
-    failing = [f for f in grown if not f.baselined]
-    assert [f.rule_id for f in failing] == ["D003"]
-    assert exit_code(grown) == 1
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert len(Baseline.load(str(tmp_path / "nope.json"))) == 0
-
-
-def test_baseline_saves_version_2_with_line_hashes(tmp_path):
-    findings = lint_source(
-        "import random\nx = random.random()\n", path="repro/example.py"
-    )
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).save(str(path))
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 2
-    (entry,) = payload["entries"]
-    assert entry["rule"] == "D001"
-    assert len(entry["line_hash"]) == 12
-
-
-def test_baseline_rematches_within_the_line_window(tmp_path):
-    source = "import random\nx = random.random()\n"
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(
-        lint_source(source, path="repro/example.py")
-    ).save(str(path))
-
-    # Three unrelated lines added above shift the finding but keep its
-    # content; the hash anchor re-matches it inside the window.
-    shifted = "# a\n# b\n# c\n" + source
-    fresh = lint_source(shifted, path="repro/example.py")
-    Baseline.load(str(path)).apply(fresh)
-    assert all(f.baselined for f in fresh)
-    assert exit_code(fresh) == 0
-
-
-def test_baseline_does_not_rematch_beyond_the_window(tmp_path):
-    source = "import random\nx = random.random()\n"
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(
-        lint_source(source, path="repro/example.py")
-    ).save(str(path))
-
-    shifted = "# pad\n" * 25 + source
-    fresh = lint_source(shifted, path="repro/example.py")
-    Baseline.load(str(path)).apply(fresh)
-    assert not any(f.baselined for f in fresh)
-    assert exit_code(fresh) == 1
-
-
-def test_version_1_baseline_still_loads(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "entries": [
-                    {"path": "repro/example.py", "rule": "D001", "line": 2}
-                ],
-            }
-        )
-    )
-    findings = lint_source(
-        "import random\nx = random.random()\n", path="repro/example.py"
-    )
-    Baseline.load(str(path)).apply(findings)
-    assert all(f.baselined for f in findings)
-
-
 # -- reports / plumbing -------------------------------------------------------
 
 
@@ -509,6 +399,7 @@ def test_json_report_schema():
     )
     payload = json.loads(format_json(findings))
     assert payload["tool"] == "kyotolint"
+    assert payload["version"] == 2
     assert payload["summary"]["total"] == 1
     assert payload["summary"]["by_rule"] == {"D001": 1}
     (entry,) = payload["findings"]
@@ -532,19 +423,6 @@ def test_syntax_error_reported_not_raised():
     assert exit_code(findings) == 1
 
 
-def test_lint_file_cache_hit(tmp_path):
-    clear_cache()
-    target = tmp_path / "scratch.py"
-    target.write_text("import random\nx = random.random()\n")
-    first = lint_file(str(target))
-    second = lint_file(str(target))
-    assert [f.rule_id for f in first] == ["D001"]
-    assert [f.to_dict() for f in first] == [f.to_dict() for f in second]
-    # Changing the content invalidates the cache entry.
-    target.write_text("x = 1\n")
-    assert lint_file(str(target)) == []
-
-
 def test_lint_paths_recurses_directories(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "bad.py").write_text(
@@ -553,3 +431,24 @@ def test_lint_paths_recurses_directories(tmp_path):
     (tmp_path / "pkg" / "good.py").write_text("x = 1\n")
     findings = lint_paths([str(tmp_path)])
     assert [f.rule_id for f in findings] == ["D001"]
+
+
+def test_dangling_symlink_is_an_error_not_a_skip(tmp_path):
+    (tmp_path / "good.py").write_text("x = 1\n")
+    (tmp_path / "gone.py").symlink_to(tmp_path / "missing.py")
+    findings = lint_paths([str(tmp_path)])
+    (finding,) = findings
+    assert finding.rule_id == "E999"
+    assert finding.path.endswith("gone.py")
+    assert finding.message.startswith("cannot read file: ")
+    assert exit_code(findings) == 1
+
+
+def test_non_utf8_file_is_an_error_not_a_crash(tmp_path):
+    (tmp_path / "latin.py").write_bytes(b"name = '\xe9t\xe9'\n")
+    findings = lint_paths([str(tmp_path)])
+    (finding,) = findings
+    assert finding.rule_id == "E999"
+    assert finding.path.endswith("latin.py")
+    assert finding.message.startswith("cannot read file: ")
+    assert exit_code(findings) == 1
