@@ -3,7 +3,7 @@
 Linear regression backs the Fig 3 claim ("degradation linearly increases
 with the disruptor's computing power") with a quantitative R²; the
 confidence-interval helper summarises repeated measurements in the
-examples and benchmarks.
+examples and experiments.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def mean_confidence_interval(
     By default the half-width uses the Student-t critical value at
     ``n - 1`` degrees of freedom — the correct small-sample quantile.
     The previous normal approximation (z = 1.96 at every n) was badly
-    anti-conservative for the 3–9 repeats bench and the examples
-    actually take: at n = 4 the true 95% multiplier is 3.18, so the old
+    anti-conservative for the 3–9 repeats the examples actually
+    take: at n = 4 the true 95% multiplier is 3.18, so the old
     intervals covered the mean barely ~88% of the time.  Pass an
     explicit ``z=`` to force a normal-quantile interval (the documented
     escape hatch, and the pre-fix behavior with ``z=1.96``).  With a

@@ -7,7 +7,7 @@ Run any of the paper's reproduced experiments from a shell::
     python -m repro run table1 fig02
     python -m repro run all --jobs 4 --json out/
     python -m repro run examples/scenarios/colocation.toml
-    python -m repro campaign out/ --output BENCH.json
+    python -m repro campaign out/ --output summary.json
     python -m repro scenario validate examples/scenarios/*.toml
     python -m repro serve examples/scenarios/vm_churn.toml --ticks 100000
     python -m repro herd run all --jobs 4 --json herd-out/
@@ -398,56 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: lttb)"
         ),
     )
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the hot-path benchmark suite (docs/performance.md)"
-    )
-    bench_parser.add_argument(
-        "benchmarks",
-        nargs="*",
-        metavar="NAME",
-        help="benchmark names (default: the whole registry; see --list)",
-    )
-    bench_parser.add_argument(
-        "--list",
-        dest="list_benchmarks",
-        action="store_true",
-        help="list the registered benchmarks and exit",
-    )
-    bench_parser.add_argument(
-        "--json",
-        dest="json_path",
-        metavar="PATH",
-        help="write the repro.bench/2 results document to PATH",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="compare against a repro.bench/2 baseline (e.g. BENCH_pr5.json)",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help=(
-            "allowed median slowdown vs the baseline, in percent "
-            "(default: 10; exit 1 beyond it)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        metavar="N",
-        help="timed samples per benchmark (default: 5)",
-    )
-    bench_parser.add_argument(
-        "--warmup",
-        type=int,
-        default=None,
-        metavar="N",
-        help="untimed warmup runs per benchmark (default: 1)",
-    )
     lint_parser = subparsers.add_parser(
         "lint", help="run kyotolint over the source tree"
     )
@@ -490,6 +440,7 @@ def run_experiments(
     json_dir: Optional[str] = None,
     timeout_sec: Optional[float] = None,
     stream_dir: Optional[str] = None,
+    prog: str = "repro run",
 ) -> int:
     """Run experiments (the ``repro run`` subcommand).
 
@@ -498,7 +449,8 @@ def run_experiments(
     continues (nonzero exit code).  ``jobs > 1`` fans out over worker
     processes without changing the report text; ``timeout_sec`` arms the
     per-experiment watchdog; ``stream_dir`` spools full-resolution
-    telemetry streams per experiment.
+    telemetry streams per experiment.  An invalid ``jobs`` or
+    ``timeout_sec`` is a usage error: ``{prog}: error: ...``, exit 2.
     """
     known, unknown = expand_names(names)
     if unknown:
@@ -506,14 +458,18 @@ def run_experiments(
             f"unknown experiment(s): {', '.join(unknown)}\n{list_experiments()}\n"
         )
         return 2
-    return campaign_mod.run_campaign(
-        known,
-        jobs=jobs,
-        json_dir=json_dir,
-        out=out,
-        timeout_sec=timeout_sec,
-        stream_dir=stream_dir,
-    )
+    try:
+        return campaign_mod.run_campaign(
+            known,
+            jobs=jobs,
+            json_dir=json_dir,
+            out=out,
+            timeout_sec=timeout_sec,
+            stream_dir=stream_dir,
+        )
+    except campaign_mod.CampaignError as exc:
+        sys.stderr.write(f"{prog}: error: {exc}\n")
+        return 2
 
 
 def _scenario_files_in(directory: str) -> List[str]:
@@ -594,6 +550,7 @@ def run_scenario_command(args, out=sys.stdout) -> int:
         json_dir=args.json_dir,
         timeout_sec=args.timeout_sec,
         stream_dir=args.stream_dir,
+        prog="repro scenario",
     )
 
 
@@ -713,78 +670,6 @@ def run_serve(args, out=sys.stdout) -> int:
     return 0
 
 
-def run_bench(args, out=sys.stdout) -> int:
-    """The ``repro bench`` subcommand (see repro.bench, docs/performance.md).
-
-    Exit codes: 0 ok, 1 at least one benchmark regressed beyond the
-    ``--compare`` tolerance, 2 usage errors (unknown benchmark names,
-    unreadable baselines, invalid repeat counts).
-    """
-    from repro import bench
-
-    if args.list_benchmarks:
-        for benchmark in bench.BENCHMARKS:
-            out.write(f"{benchmark.name:22s} {benchmark.description}\n")
-        return 0
-    try:
-        selected = (
-            bench.benchmarks_named(args.benchmarks)
-            if args.benchmarks
-            else list(bench.BENCHMARKS)
-        )
-    except KeyError as exc:
-        sys.stderr.write(f"repro bench: error: {exc.args[0]}\n")
-        return 2
-    baseline = None
-    if args.compare is not None:
-        try:
-            baseline = bench.compare.load_baseline(args.compare)
-        except bench.BenchCompareError as exc:
-            sys.stderr.write(f"repro bench: error: {exc}\n")
-            return 2
-    warmup = args.warmup if args.warmup is not None else bench.runner.DEFAULT_WARMUP
-    repeats = (
-        args.repeats if args.repeats is not None else bench.runner.DEFAULT_REPEATS
-    )
-
-    def report_progress(result) -> None:
-        out.write(
-            f"{result.name:22s} median {result.median_sec * 1e3:9.2f} ms  "
-            f"(min {result.min_sec * 1e3:.2f}, max {result.max_sec * 1e3:.2f}, "
-            f"{result.repeats} repeats)\n"
-        )
-
-    try:
-        results = bench.run_benchmarks(
-            selected, warmup=warmup, repeats=repeats, progress=report_progress
-        )
-    except bench.runner.BenchmarkError as exc:
-        sys.stderr.write(f"repro bench: error: {exc}\n")
-        return 2
-    document = bench.results_document(results, warmup=warmup, repeats=repeats)
-    exit_code = 0
-    if baseline is not None:
-        try:
-            comparisons = bench.compare_documents(
-                document, baseline, args.tolerance
-            )
-        except bench.BenchCompareError as exc:
-            sys.stderr.write(f"repro bench: error: {exc}\n")
-            return 2
-        bench.compare.annotate_document(document, comparisons, args.compare)
-        out.write("\n" + bench.format_comparisons(comparisons, args.tolerance) + "\n")
-        if any(comparison.regressed for comparison in comparisons):
-            exit_code = 1
-    if args.json_path is not None:
-        from repro.util import atomic_write_json
-
-        # Atomic: BENCH_*.json baselines gate CI, so a kill mid-write
-        # must never leave a truncated document behind.
-        atomic_write_json(args.json_path, document)
-        out.write(f"benchmark results written to {args.json_path}\n")
-    return exit_code
-
-
 def run_report(args, out=sys.stdout) -> int:
     """The ``repro report`` subcommand (docs/reporting.md).
 
@@ -850,8 +735,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "lint":
         return run_lint(args)
-    if args.command == "bench":
-        return run_bench(args)
     if args.command == "serve":
         return run_serve(args)
     if args.command == "report":

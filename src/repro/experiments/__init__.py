@@ -1,8 +1,8 @@
 """Experiment drivers: one module per paper figure/table.
 
 Each ``figNN`` module exposes ``run(...) -> FigNNResult`` plus
-``format_report(result) -> str``; benchmarks and examples are thin
-wrappers over these.
+``format_report(result) -> str``; the CLI, the claim tests and the
+examples are thin wrappers over these.
 """
 
 from . import (

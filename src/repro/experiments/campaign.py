@@ -14,8 +14,8 @@ A *campaign* is a batch of experiments run as one unit:
   (schema ``repro.artifact/1``): the report text, the failure if any,
   wall time, and the full ``repro.telemetry/1`` telemetry document,
 * :func:`aggregate_dir` folds a directory of artifacts into a single
-  campaign summary (schema ``repro.campaign/1``) suitable for
-  committing as a ``BENCH_*.json`` perf-trajectory point.
+  campaign summary (schema ``repro.campaign/1``) whose per-experiment
+  ``report_sha256`` can be diffed across commits.
 
 Wall-clock reads route through :func:`repro.util.wall_clock` — the one
 sanctioned entry point (kyotolint D003); wall time never feeds back into

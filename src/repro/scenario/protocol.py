@@ -49,8 +49,7 @@ def execution_time_sec(
     :meth:`~repro.hypervisor.system.VirtualizedSystem.run_ticks_until`
     with a per-tick finish check, so the simulation stops on exactly the
     tick the VM completes (identical ``finish_usec`` to a tick-by-tick
-    loop) without paying a Python call round-trip per tick — see
-    BENCH_pr4_exec_time.json for the measured speedup.
+    loop) without paying a Python call round-trip per tick.
     """
     if chunk_ticks <= 0:
         raise ValueError(f"chunk_ticks must be positive, got {chunk_ticks}")

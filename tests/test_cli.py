@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,11 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
 
 
 class TestListing:
@@ -73,3 +82,36 @@ class TestRunning:
         out = io.StringIO()
         assert run_experiments(["fig07"], out=out) == 0
         assert "Pisces" in out.getvalue()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["run", "fig02", "--jobs", "0"], "repro run"),
+        (["run", "fig02", "--timeout-sec", "0"], "repro run"),
+        (["run", "fig02", "--timeout-sec", "-1"], "repro run"),
+        (
+            ["scenario", "run", "examples/scenarios/colocation.toml", "--jobs", "0"],
+            "repro scenario",
+        ),
+    ],
+    ids=["run-jobs-0", "run-timeout-0", "run-timeout-negative", "scenario-jobs-0"],
+)
+def test_invalid_campaign_options_are_usage_errors(argv, prog):
+    """Like ``repro herd``: a one-line error and exit 2, not a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(REPO),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"{prog}: error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

@@ -107,6 +107,26 @@ class TestMaterialize:
         with pytest.raises(ScenarioError):
             materialize(ScenarioSpec(name="", vms=()))
 
+    def test_fresh_materializations_agree(self):
+        spec = ScenarioSpec(
+            name="s",
+            vms=(
+                _vm("sen", llc_cap=250_000),
+                _vm("noisy", app="lbm", llc_cap=250_000, count=4),
+            ),
+        )
+
+        def shape(built):
+            built.system.run_ticks(20)
+            return (
+                built.system.machine.total_cores,
+                list(built.vms),
+                [vcpu.pinned_core for vcpu in built.system.vcpus],
+                [vm.vcpus[0].ipc for vm in built.vms.values()],
+            )
+
+        assert shape(materialize(spec)) == shape(materialize(spec))
+
 
 class TestRunSpec:
     def test_measure_report_mentions_target_ipc(self):

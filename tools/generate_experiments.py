@@ -5,8 +5,8 @@ Usage::
 
     python tools/generate_experiments.py [output_path]
 
-Runs all table/figure reproductions at the benchmark parameters and
-writes the paper-vs-measured record.  Takes a few minutes.
+Runs all table/figure reproductions and writes the paper-vs-measured
+record.  Takes a few minutes.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def main() -> None:
 
     parts.append(
         "\n## Ablations (beyond the paper)\n\n"
-        "Run `pytest benchmarks/ --benchmark-only -s -k ablation` for the "
+        "Run `pytest tests/claims -s -k ablation` for the "
         "design-choice studies: pollution-quota bank size, monitoring "
         "period, replacement-policy scan resistance, occupancy-model vs "
         "set-associative cross-validation, and the enforcement shoot-out "
