@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+
+from repro.lint.contracts import ContractViolation, contracts_enabled
 
 from .base import Scheduler
 
@@ -54,6 +56,22 @@ class CreditAccount:
         return Priority.UNDER if self.credits > 0 else Priority.OVER
 
 
+@dataclass
+class StealIndex:
+    """Who an idle core may steal, as of one scheduling pass.
+
+    A vCPU is *eligible* when it is unpinned, runnable, not parked and
+    UNDER.  ``eligible`` maps each core to its eligible gids in
+    round-robin order (cores with none are absent), ``socket_of`` maps
+    each eligible gid to its core's socket, and ``waiting`` counts, per
+    socket, the eligible vCPUs that are not running.
+    """
+
+    eligible: Dict[int, List[int]]
+    socket_of: Dict[int, int]
+    waiting: List[int]
+
+
 class CreditScheduler(Scheduler):
     """Xen's credit scheduler."""
 
@@ -74,6 +92,11 @@ class CreditScheduler(Scheduler):
         # Freshly woken UNDER vCPUs get BOOST: they preempt at the next
         # scheduling decision (Xen's latency optimisation for I/O VMs).
         self._boosted: set = set()
+        # The steal index of the scheduling call in progress: built by
+        # the call's first steal decision, dropped when the call returns.
+        self._steal_index: Optional[StealIndex] = None
+        # Recount the index at every steal decision (contracts on).
+        self._recount_steal_index = False
 
     # -- admission ---------------------------------------------------------------
 
@@ -191,51 +214,145 @@ class CreditScheduler(Scheduler):
         Stealing only crosses socket boundaries as a last resort — moving
         a vCPU away from its warm LLC is expensive (the Fig 9 lesson).
         """
-        machine = self.system.machine
-        my_socket = machine.core(core_id).socket_id
-        accounts = self.accounts
+        index = self._steal_index
+        if index is None:
+            index = self._steal_index = self._build_steal_index()
+        elif self._recount_steal_index:
+            recounted = self._build_steal_index()
+            if recounted != index:
+                raise ContractViolation(
+                    "credit.steal_index",
+                    f"waiting {index.waiting}, recounted {recounted.waiting}"
+                    if index.waiting != recounted.waiting
+                    else "eligible runqueues differ from a recount",
+                )
+        my_socket = self.system.machine.core(core_id).socket_id
+        gid, victim_core, probes = self._find_victim(index, core_id, my_socket)
+        recorder = self.system.recorder
+        if probes:
+            recorder.inc("credit.steal_probes", probes)
+        if gid is None:
+            return None
+        eligible = index.eligible
+        gids = eligible[victim_core]
+        gids.remove(gid)
+        if not gids:
+            del eligible[victim_core]
+        eligible.setdefault(core_id, []).append(gid)
+        index.waiting[index.socket_of[gid]] -= 1
+        index.waiting[my_socket] += 1
+        index.socket_of[gid] = my_socket
+        vcpu = self._vcpu_by_gid[gid]
+        self.reassign_vcpu(vcpu, core_id)
+        recorder.inc("credit.steals")
+        return vcpu
 
-        def steal_from(other_core_id: int) -> Optional["VCpu"]:
-            for vcpu in self._candidates(other_core_id):
+    def _find_victim(
+        self, index: StealIndex, core_id: int, my_socket: int
+    ) -> Tuple[Optional[int], Optional[int], int]:
+        """The vCPU Xen's runqueue walk would steal for ``core_id``, as
+        ``(gid, victim core, runqueues probed)``; gid is None if none.
+
+        Same-socket cores first, remote sockets only as a fallback;
+        within a pass, cores are scanned in machine order and the first
+        waiting eligible vCPU wins.  A socket with nothing waiting and a
+        core with nothing eligible are skipped without changing which
+        vCPU that is.
+        """
+        machine = self.system.machine
+        waiting = index.waiting
+        eligible = index.eligible
+        by_gid = self._vcpu_by_gid
+        others = [s for s in range(len(waiting)) if s != my_socket]
+        probes = 0
+        for socket_id in [my_socket] + others:
+            if not waiting[socket_id]:
+                continue
+            for other in machine.sockets[socket_id].cores:
+                victim_core = other.core_id
+                gids = eligible.get(victim_core)
+                if not gids or victim_core == core_id:
+                    continue
+                probes += 1
+                for gid in gids:
+                    if by_gid[gid].current_core is None:  # not running
+                        return gid, victim_core, probes
+        return None, None, probes
+
+    def _build_steal_index(self) -> StealIndex:
+        """Index, from scratch, every vCPU another core may steal."""
+        machine = self.system.machine
+        accounts = self.accounts
+        by_gid = self._vcpu_by_gid
+        is_parked = self.is_parked
+        eligible: Dict[int, List[int]] = {}
+        socket_of: Dict[int, int] = {}
+        waiting = [0] * len(machine.sockets)
+        rr_order = self._rr_order
+        for core in machine.cores:
+            order = rr_order.get(core.core_id)
+            if not order:
+                continue
+            gids = []
+            for gid in order:
+                if accounts[gid].credits <= 0:  # OVER
+                    continue
+                vcpu = by_gid[gid]
                 if (
                     vcpu.pinned_core is None
-                    and not vcpu.is_running
-                    and accounts[vcpu.gid].credits > 0  # UNDER
+                    and vcpu.runnable
+                    and not is_parked(vcpu)
                 ):
-                    self.reassign_vcpu(vcpu, core_id)
-                    self.system.recorder.inc("credit.steals")
-                    return vcpu
-            return None
+                    gids.append(gid)
+                    socket_of[gid] = core.socket_id
+                    if vcpu.current_core is None:
+                        waiting[core.socket_id] += 1
+            if gids:
+                eligible[core.core_id] = gids
+        return StealIndex(eligible, socket_of, waiting)
 
-        # Same-socket cores first, remote sockets only as a fallback;
-        # within a pass, cores are scanned in machine order and the first
-        # stealable vCPU wins (matching Xen's runqueue walk).
-        for want_same_socket in (True, False):
-            for other in machine.cores:
-                if other.core_id == core_id:
-                    continue
-                if (other.socket_id == my_socket) is not want_same_socket:
-                    continue
-                vcpu = steal_from(other.core_id)
-                if vcpu is not None:
-                    return vcpu
-        return None
+    def _switch(self, core, choice: Optional["VCpu"]) -> None:
+        """Put ``choice`` on ``core``, keeping the steal index's waiting
+        counts in step with who is running."""
+        index = self._steal_index
+        outgoing = core.running
+        if outgoing is not None:
+            self.system.context_switch(core, None)
+            if index is not None:
+                socket_id = index.socket_of.get(outgoing.gid)
+                if socket_id is not None:
+                    index.waiting[socket_id] += 1
+        if choice is not None:
+            self.system.context_switch(core, choice)
+            if index is not None:
+                socket_id = index.socket_of.get(choice.gid)
+                if socket_id is not None:
+                    index.waiting[socket_id] -= 1
 
     def on_tick_start(self, tick_index: int) -> None:
-        for core in self.system.machine.cores:
-            choice = self._pick(core.core_id)
-            if core.running is not choice:
-                if core.running is not None:
-                    self.system.context_switch(core, None)
-                if choice is not None:
-                    self.system.context_switch(core, choice)
+        # Eligibility to be stolen is fixed for the whole pass (credits,
+        # parking and runnability only move in tick end, accounting or
+        # between ticks), so one index serves every idle core; only this
+        # pass's own switches and steals move it.
+        self._recount_steal_index = contracts_enabled()
+        try:
+            for core in self.system.machine.cores:
+                choice = self._pick(core.core_id)
+                if core.running is not choice:
+                    self._switch(core, choice)
+        finally:
+            self._steal_index = None
 
     def refill_core(self, core) -> None:
-        choice = self._pick(core.core_id)
+        # Mid-tick, eligibility may have moved since tick start, so the
+        # pass's index is gone: a steal here builds a fresh one that
+        # lives for this call only.
+        try:
+            choice = self._pick(core.core_id)
+        finally:
+            self._steal_index = None
         if choice is not None and core.running is not choice:
-            if core.running is not None:
-                self.system.context_switch(core, None)
-            self.system.context_switch(core, choice)
+            self._switch(core, choice)
 
     # -- accounting ----------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Couples the :class:`~repro.simulation.clock.Clock` with the
 :class:`~repro.simulation.events.EventQueue` and runs callbacks in time
-order.  Components (schedulers, monitors, workload phase changes) register
-one-shot or periodic events; the engine owns time.
+order.  Components register events at absolute times (a periodic
+callback re-arms itself from inside its own callback); the engine owns
+time.
 """
 
 from __future__ import annotations
@@ -74,49 +75,6 @@ class Engine:
             when_usec, callback, name=name, priority=priority
         )
 
-    def schedule_after(
-        self,
-        delay_usec: int,
-        callback: Callable[[], None],
-        *,
-        name: str = "event",
-        priority: int = 10,
-    ) -> Event:
-        """Schedule ``callback`` ``delay_usec`` from now."""
-        return self.schedule(
-            self.clock.now_usec + delay_usec, callback, name=name, priority=priority
-        )
-
-    def schedule_periodic(
-        self,
-        period_usec: int,
-        callback: Callable[[], None],
-        *,
-        name: str = "periodic",
-        priority: int = 10,
-        first_at_usec: Optional[int] = None,
-    ) -> None:
-        """Run ``callback`` every ``period_usec`` forever (until queue clear).
-
-        The callback runs first at ``first_at_usec`` (default: one period
-        from now) and re-arms itself after each firing.
-        """
-        if period_usec <= 0:
-            raise ValueError(f"period must be positive, got {period_usec}")
-        start = (
-            first_at_usec
-            if first_at_usec is not None
-            else self.clock.now_usec + period_usec
-        )
-
-        def fire() -> None:
-            callback()
-            self.schedule(
-                self.clock.now_usec + period_usec, fire, name=name, priority=priority
-            )
-
-        self.schedule(start, fire, name=name, priority=priority)
-
     def cancel(self, event: Event) -> None:
         """Cancel a pending event."""
         self.queue.cancel(event)
@@ -159,13 +117,3 @@ class Engine:
         finally:
             self._running = False
         self.clock.advance_to(until_usec)
-
-    def run_to_completion(self, max_events: int = 10_000_000) -> None:
-        """Run until the event queue drains (with a runaway guard)."""
-        count = 0
-        while self.step():
-            count += 1
-            if count > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; runaway periodic event?"
-                )

@@ -25,13 +25,6 @@ class TestBasics:
         with pytest.raises(SimulationError):
             engine.schedule(50, lambda: None)
 
-    def test_schedule_after(self):
-        engine = Engine()
-        engine.schedule(100, lambda: None)
-        engine.run_until(100)
-        event = engine.schedule_after(30, lambda: None)
-        assert event.when_usec == 130
-
     def test_events_fired_counter(self):
         engine = Engine()
         for i in range(3):
@@ -74,7 +67,9 @@ class TestRunUntil:
 
         def first():
             fired.append("first")
-            engine.schedule_after(10, lambda: fired.append("second"))
+            engine.schedule(
+                engine.now_usec + 10, lambda: fired.append("second")
+            )
 
         engine.schedule(10, first)
         engine.run_until(100)
@@ -83,24 +78,18 @@ class TestRunUntil:
 
 class TestPeriodic:
     def test_periodic_fires_repeatedly(self):
-        engine = Engine()
-        count = []
-        engine.schedule_periodic(10, lambda: count.append(1))
-        engine.run_until(55)
-        assert len(count) == 5  # at 10, 20, 30, 40, 50
-
-    def test_periodic_custom_start(self):
+        """A callback that re-arms itself one period ahead fires once per
+        period up to the horizon."""
         engine = Engine()
         times = []
-        engine.schedule_periodic(
-            10, lambda: times.append(engine.now_usec), first_at_usec=0
-        )
-        engine.run_until(25)
-        assert times == [0, 10, 20]
 
-    def test_periodic_zero_period_rejected(self):
-        with pytest.raises(ValueError):
-            Engine().schedule_periodic(0, lambda: None)
+        def tick():
+            times.append(engine.now_usec)
+            engine.schedule(engine.now_usec + 10, tick)
+
+        engine.schedule(10, tick)
+        engine.run_until(55)
+        assert times == [10, 20, 30, 40, 50]
 
     def test_cancel_pending_event(self):
         engine = Engine()
@@ -111,11 +100,14 @@ class TestPeriodic:
         assert fired == []
 
     def test_runaway_guard(self):
+        """An event that re-arms itself forever stops at the horizon:
+        run_until never runs past it, and the next firing stays queued."""
         engine = Engine()
 
         def rearm():
-            engine.schedule_after(1, rearm)
+            engine.schedule(engine.now_usec + 1, rearm)
 
         engine.schedule(0, rearm)
-        with pytest.raises(SimulationError):
-            engine.run_to_completion(max_events=100)
+        engine.run_until(100)
+        assert engine.events_fired == 101
+        assert engine.queue.peek_time() == 101
