@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.lint.contracts import InvariantChecker
+from repro.lint.contracts import InvariantChecker, contracts_enabled
 from repro.telemetry import MetricsRecorder, current_recorder
 
 from .monitor import DirectPmcMonitor, MonitorError, PollutionMonitor
@@ -159,6 +159,9 @@ class KyotoEngine:
             return
         if (tick_index + 1) % self.monitor_period_ticks != 0:
             return
+        # Resolved once per pass: the lookup reads the environment, and
+        # the detail string below is only worth formatting when checking.
+        checking = contracts_enabled()
         for vm in self.system.vms:
             account = self.accounts.get(vm.vm_id)
             if account is None:
@@ -170,12 +173,13 @@ class KyotoEngine:
                 self.recorder.inc("kyoto.idle_skips")
                 continue
             measured = self._sample_or_estimate(vm)
-            self.invariants.require(
-                measured >= 0.0,
-                "non-negative-sample",
-                f"monitor {self.monitor.name} returned {measured} for "
-                f"{vm.name}",
-            )
+            if checking:
+                self.invariants.require(
+                    measured >= 0.0,
+                    "non-negative-sample",
+                    f"monitor {self.monitor.name} returned {measured} for "
+                    f"{vm.name}",
+                )
             # llc_cap_act is a *rate* (misses/ms); the debit covers the
             # whole monitoring period so that the sustainable average
             # rate equals the booked llc_cap regardless of how often the
@@ -228,13 +232,16 @@ class KyotoEngine:
 
     def on_accounting(self, tick_index: int) -> None:
         """Time-slice boundary: every managed VM earns quota."""
+        checking = contracts_enabled()
+        ticks = self.system.ticks_per_slice
         for account in self.accounts.values():
-            account.refill(ticks=self.system.ticks_per_slice)
-            self.invariants.require(
-                account.quota <= account.quota_max + 1e-9,
-                "quota-cap",
-                f"quota {account.quota} exceeds cap {account.quota_max}",
-            )
+            account.refill(ticks=ticks)
+            if checking:
+                self.invariants.require(
+                    account.quota <= account.quota_max + 1e-9,
+                    "quota-cap",
+                    f"quota {account.quota} exceeds cap {account.quota_max}",
+                )
 
     # -- reporting ------------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.pmc.counters import PmcEvent
 from repro.telemetry import current_recorder
 
 from .equation import llc_cap_act
@@ -91,8 +90,8 @@ class DirectPmcMonitor(PollutionMonitor):
         deltas = self.system.perfctr.sample(lead.gid)
         self._charge_cost(lead)
         rate = llc_cap_act(
-            deltas[PmcEvent.LLC_MISSES],
-            deltas[PmcEvent.UNHALTED_CORE_CYCLES],
+            deltas.llc_misses,
+            deltas.unhalted_core_cycles,
             self.system.freq_khz_of_vcpu(lead),
         )
         return rate * len(vm.vcpus)
@@ -278,8 +277,8 @@ class SocketDedicationSampler:
         self.system.run_ticks(sample_ticks)
         deltas = self.system.perfctr.sample(lead.gid)
         rate = llc_cap_act(
-            deltas[PmcEvent.LLC_MISSES],
-            deltas[PmcEvent.UNHALTED_CORE_CYCLES],
+            deltas.llc_misses,
+            deltas.unhalted_core_cycles,
             self.system.freq_khz_of_vcpu(lead),
         )
         return rate * len(vm.vcpus)
@@ -401,10 +400,12 @@ class McSimReplayMonitor(PollutionMonitor):
         # whatever monitor a failover chain tries next.
         report = self.replay_service.replay_vm(vm)
         deltas = self.system.perfctr.sample(lead.gid)
-        cycles = deltas[PmcEvent.UNHALTED_CORE_CYCLES]
-        instructions = deltas[PmcEvent.INSTRUCTIONS_RETIRED]
+        cycles = deltas.unhalted_core_cycles
         if cycles == 0:
             return 0.0
-        inst_per_ms = instructions / (cycles / self.system.freq_khz)
+        # kHz is cycles per ms; the lead's own socket clock, which on a
+        # heterogeneous machine need not be socket 0's.
+        ms_run = cycles / self.system.freq_khz_of_vcpu(lead)
+        inst_per_ms = deltas.instructions_retired / ms_run
         misses_per_ms = inst_per_ms * report.misses_per_kinst / 1000.0
         return misses_per_ms * len(vm.vcpus)

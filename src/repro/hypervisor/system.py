@@ -200,7 +200,12 @@ class VirtualizedSystem:
 
     @property
     def freq_khz(self) -> int:
-        """Frequency of socket 0 (all modelled machines are homogeneous)."""
+        """Frequency of socket 0.
+
+        Every machine preset shares one socket spec, but a
+        :class:`MachineSpec` may mix socket clocks: conversions for one
+        vCPU's counts must use :meth:`freq_khz_of_vcpu` instead.
+        """
         return self.machine.sockets[0].spec.freq_khz
 
     def cycles_per_tick(self, core_id: int = 0) -> int:

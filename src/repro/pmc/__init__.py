@@ -3,9 +3,11 @@
 from .counters import (
     COUNTER_BITS,
     COUNTER_MASK,
+    EVENTS,
     CoreCounters,
     HardwareCounter,
     PmcEvent,
+    PmcSample,
     delta,
 )
 from .perfctr import PerfctrError, PerfctrVirtualizer, VcpuPmcAccount
@@ -14,10 +16,12 @@ __all__ = [
     "COUNTER_BITS",
     "COUNTER_MASK",
     "CoreCounters",
+    "EVENTS",
     "HardwareCounter",
     "PerfctrError",
     "PerfctrVirtualizer",
     "PmcEvent",
+    "PmcSample",
     "VcpuPmcAccount",
     "delta",
 ]

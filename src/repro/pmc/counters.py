@@ -5,13 +5,19 @@ Models the per-core counters Kyoto reads: ``LLC_MISSES``,
 fixed-width MSRs that wrap; we model 48-bit counters (the common width on
 Intel parts) so that overflow handling — something perfctr-xen has to deal
 with — can be exercised by tests.
+
+Every bank, snapshot and sample shares one fixed slot order,
+:data:`EVENTS` (``tuple(PmcEvent)``): a bank snapshot is a plain int
+tuple and a sample is a :class:`PmcSample` record, so the monitoring path
+indexes counters by position instead of hashing enum members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from operator import attrgetter
+from typing import Dict, NamedTuple, Tuple
 
 
 class PmcEvent(Enum):
@@ -23,9 +29,27 @@ class PmcEvent(Enum):
     LLC_REFERENCES = "llc_references"
 
 
+#: The slot order of every bank, snapshot and :class:`PmcSample`.
+EVENTS: Tuple[PmcEvent, ...] = tuple(PmcEvent)
+#: Slot index of each event in :data:`EVENTS`.
+SLOT: Dict[PmcEvent, int] = {event: slot for slot, event in enumerate(EVENTS)}
+
+
+class PmcSample(NamedTuple):
+    """Per-event counts in slot order; field names are the event values."""
+
+    llc_misses: int
+    unhalted_core_cycles: int
+    instructions_retired: int
+    llc_references: int
+
+
 #: Width of the modelled counters, in bits (Intel architectural PMCs).
 COUNTER_BITS = 48
 COUNTER_MASK = (1 << COUNTER_BITS) - 1
+
+#: A bank snapshot: raw counter values in slot order.
+Snapshot = Tuple[int, ...]
 
 
 @dataclass
@@ -66,9 +90,13 @@ def delta(prev_raw: int, cur_raw: int) -> int:
     order the sampling loop produces them.  A single wrap between the two
     samples is handled correctly; more than one wrap is indistinguishable
     from fewer events (as on real hardware).  Wrap handling lives here and
-    only here; callers must never subtract raw readings directly.
+    only here; callers must never subtract raw readings directly (bank
+    snapshots are differenced slot by slot with ``map(delta, prev, cur)``).
     """
     return (cur_raw - prev_raw) & COUNTER_MASK
+
+
+_raw = attrgetter("raw")
 
 
 class CoreCounters:
@@ -76,13 +104,14 @@ class CoreCounters:
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-        self._counters: Dict[PmcEvent, HardwareCounter] = {
-            event: HardwareCounter(event) for event in PmcEvent
-        }
+        #: The bank's counters in slot order (:data:`EVENTS`).
+        self._slots: Tuple[HardwareCounter, ...] = tuple(
+            HardwareCounter(event) for event in EVENTS
+        )
 
     def add(self, event: PmcEvent, amount: int) -> None:
         """Count ``amount`` occurrences of ``event`` on this core."""
-        self._counters[event].add(amount)
+        self._slots[SLOT[event]].add(amount)
 
     def counter(self, event: PmcEvent) -> HardwareCounter:
         """The live counter object for ``event``.
@@ -91,16 +120,16 @@ class CoreCounters:
         (``write`` included), so hot paths may hold the reference and
         call :meth:`HardwareCounter.add` directly.
         """
-        return self._counters[event]
+        return self._slots[SLOT[event]]
 
     def read(self, event: PmcEvent) -> int:
         """Raw value of ``event``'s counter."""
-        return self._counters[event].read()
+        return self._slots[SLOT[event]].raw
 
     def write(self, event: PmcEvent, value: int) -> None:
         """Overwrite ``event``'s counter (context-switch restore)."""
-        self._counters[event].write(value)
+        self._slots[SLOT[event]].write(value)
 
-    def read_all(self) -> Dict[PmcEvent, int]:
-        """Snapshot all counters."""
-        return {event: counter.read() for event, counter in self._counters.items()}
+    def snapshot(self) -> Snapshot:
+        """All raw counter values, in slot order."""
+        return tuple(map(_raw, self._slots))

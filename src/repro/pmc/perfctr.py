@@ -11,36 +11,42 @@ Usage from the hypervisor::
     virt = PerfctrVirtualizer(core_counters_by_id)
     virt.context_switch_in(vcpu_id, core_id)      # remember baseline
     ... core counters advance while the vCPU runs ...
-    virt.context_switch_out(vcpu_id, core_id)     # bank the deltas
+    virt.context_switch_out(vcpu_id)              # bank the deltas
 
 ``account(vcpu_id)`` then exposes cumulative per-vCPU counts, and
 ``sample(vcpu_id)`` returns deltas since the previous sample — exactly the
-quantities equation 1 needs.
+quantities equation 1 needs — as one slot-ordered
+:class:`~repro.pmc.counters.PmcSample` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from operator import add, sub
+from typing import Dict, List, Tuple
 
-from .counters import CoreCounters, PmcEvent, delta
+from .counters import (
+    EVENTS,
+    SLOT,
+    CoreCounters,
+    PmcEvent,
+    PmcSample,
+    Snapshot,
+    delta,
+)
 
 
 @dataclass
 class VcpuPmcAccount:
-    """Cumulative virtualised counters of one vCPU."""
+    """Cumulative virtualised counters of one vCPU, in slot order."""
 
     vcpu_id: int
-    totals: Dict[PmcEvent, int] = field(
-        default_factory=lambda: {event: 0 for event in PmcEvent}
-    )
-    #: Values of ``totals`` at the previous monitoring sample.
-    last_sample: Dict[PmcEvent, int] = field(
-        default_factory=lambda: {event: 0 for event in PmcEvent}
-    )
+    totals: List[int] = field(default_factory=lambda: [0] * len(EVENTS))
+    #: ``totals`` at the previous monitoring sample.
+    last_sample: Snapshot = (0,) * len(EVENTS)
 
     def read(self, event: PmcEvent) -> int:
-        return self.totals[event]
+        return self.totals[SLOT[event]]
 
 
 class PerfctrError(Exception):
@@ -53,14 +59,15 @@ class PerfctrVirtualizer:
     def __init__(self, core_counters: Dict[int, CoreCounters]) -> None:
         self._cores = core_counters
         self._accounts: Dict[int, VcpuPmcAccount] = {}
-        # vcpu_id -> (core_id, {event: baseline_raw})
-        self._active: Dict[int, tuple] = {}
+        # vcpu_id -> (bank it runs on, bank snapshot at the last banking)
+        self._active: Dict[int, Tuple[CoreCounters, Snapshot]] = {}
 
     def account(self, vcpu_id: int) -> VcpuPmcAccount:
         """The cumulative account of ``vcpu_id`` (created on first use)."""
-        if vcpu_id not in self._accounts:
-            self._accounts[vcpu_id] = VcpuPmcAccount(vcpu_id)
-        return self._accounts[vcpu_id]
+        account = self._accounts.get(vcpu_id)
+        if account is None:
+            account = self._accounts[vcpu_id] = VcpuPmcAccount(vcpu_id)
+        return account
 
     def retire_account(self, vcpu_id: int) -> None:
         """Drop a retired vCPU's cumulative account.
@@ -82,24 +89,20 @@ class PerfctrVirtualizer:
             raise PerfctrError(
                 f"vCPU {vcpu_id} switched in twice without switching out"
             )
-        baselines = self._cores[core_id].read_all()
-        self._active[vcpu_id] = (core_id, baselines)
+        bank = self._cores[core_id]
+        self._active[vcpu_id] = (bank, bank.snapshot())
 
-    def context_switch_out(self, vcpu_id: int) -> Dict[PmcEvent, int]:
+    def context_switch_out(self, vcpu_id: int) -> PmcSample:
         """Bank counter deltas when ``vcpu_id`` leaves its core."""
         try:
-            core_id, baselines = self._active.pop(vcpu_id)
+            bank, baseline = self._active.pop(vcpu_id)
         except KeyError:
             raise PerfctrError(
                 f"vCPU {vcpu_id} switched out but was never switched in"
             ) from None
-        current = self._cores[core_id].read_all()
-        account = self.account(vcpu_id)
-        deltas: Dict[PmcEvent, int] = {}
-        for event in PmcEvent:
-            d = delta(baselines[event], current[event])
-            deltas[event] = d
-            account.totals[event] += d
+        deltas = PmcSample._make(map(delta, baseline, bank.snapshot()))
+        totals = self.account(vcpu_id).totals
+        totals[:] = map(add, totals, deltas)
         return deltas
 
     def is_running(self, vcpu_id: int) -> bool:
@@ -109,27 +112,29 @@ class PerfctrVirtualizer:
     def flush_running(self, vcpu_id: int) -> None:
         """Bank deltas for a running vCPU without switching it out.
 
-        Equivalent to an out+in pair; used by the periodic monitor so it
-        can sample a vCPU mid-quantum.
+        Same totals as an out+in pair, done in place: the bank snapshot
+        that closes the banked window is the new window's baseline.  Used
+        by the periodic monitor so it can sample a vCPU mid-quantum.
         """
-        if vcpu_id not in self._active:
+        active = self._active.get(vcpu_id)
+        if active is None:
             return
-        core_id, __ = self._active[vcpu_id]
-        self.context_switch_out(vcpu_id)
-        self.context_switch_in(vcpu_id, core_id)
+        bank, baseline = active
+        current = bank.snapshot()
+        totals = self.account(vcpu_id).totals
+        totals[:] = map(add, totals, map(delta, baseline, current))
+        self._active[vcpu_id] = (bank, current)
 
-    def sample(self, vcpu_id: int) -> Dict[PmcEvent, int]:
+    def sample(self, vcpu_id: int) -> PmcSample:
         """Deltas of the cumulative account since the previous sample.
 
         This is the monitoring primitive: KS4Xen calls it once per
-        monitoring period and feeds ``LLC_MISSES`` and
-        ``UNHALTED_CORE_CYCLES`` into equation 1.
+        monitoring period and feeds ``llc_misses`` and
+        ``unhalted_core_cycles`` into equation 1.
         """
         self.flush_running(vcpu_id)
         account = self.account(vcpu_id)
-        deltas = {
-            event: account.totals[event] - account.last_sample[event]
-            for event in PmcEvent
-        }
-        account.last_sample = dict(account.totals)
+        totals = account.totals
+        deltas = PmcSample._make(map(sub, totals, account.last_sample))
+        account.last_sample = tuple(totals)
         return deltas

@@ -5,6 +5,7 @@ import pytest
 from repro.core.engine import KyotoEngine
 from repro.core.monitor import DirectPmcMonitor
 from repro.hypervisor.system import VirtualizedSystem
+from repro.lint.contracts import set_contracts_enabled
 from repro.schedulers.credit import CreditScheduler
 
 from conftest import make_vm
@@ -133,3 +134,42 @@ class TestAccounting:
         assert account.samples == 5
         assert account.mean_measured == pytest.approx(100.0)
         assert recorder.counters["kyoto.idle_skips"] == 5.0
+
+
+class TestContractEvaluations:
+    @pytest.fixture(autouse=True)
+    def _restore_contract_toggle(self):
+        yield
+        set_contracts_enabled(None)
+
+    def _one_period(self):
+        """Three VMs that run, one managed VM that sits out, one unmanaged."""
+        system = plain_system()
+        engine = KyotoEngine(system)
+        managed = [
+            make_vm(system, f"vm{core}", app="lbm", core=core, llc_cap=1e9)
+            for core in range(3)
+        ]
+        idle = make_vm(system, "idle", core=3, llc_cap=1e9)
+        idle.vcpus[0].paused = True
+        make_vm(system, "free", core=3)
+        for vm in managed + [idle]:
+            engine.register_vm(vm)
+        system.run_ticks(1)
+        engine.on_tick_end(0)
+        engine.on_accounting(0)
+        sampled = sum(engine.account_of(vm).samples for vm in managed + [idle])
+        return engine, sampled
+
+    def test_one_evaluation_per_sampled_vm(self):
+        engine, sampled = self._one_period()
+        assert sampled == 3
+        assert engine.invariants.evaluated("non-negative-sample") == sampled
+        assert engine.invariants.evaluated("quota-cap") == len(engine.accounts)
+
+    def test_no_evaluations_with_contracts_off(self):
+        set_contracts_enabled(False)
+        engine, sampled = self._one_period()
+        assert sampled == 3
+        assert engine.invariants.evaluated("non-negative-sample") == 0
+        assert engine.invariants.evaluated("quota-cap") == 0

@@ -20,6 +20,7 @@ from repro.schedulers.credit import CreditScheduler
 from repro.telemetry import MetricsRecorder
 
 from conftest import make_vm
+from test_hypervisor_batch import hetero_machine
 
 
 def plain_system(**kwargs):
@@ -163,6 +164,24 @@ class TestResilientMonitor:
         monitor = ResilientMonitor(system, chain=[liar, honest])
         assert monitor.sample(vm) == 50.0
         assert monitor.rejected_samples == 1
+
+    def test_ceiling_follows_the_vms_own_socket(self):
+        """Regression: the plausibility ceiling came from socket 0's clock
+        wherever the VM ran.  A rate between the two sockets' ceilings
+        is impossible on the half-speed socket and fine on the fast one."""
+        system = plain_system(machine_spec=hetero_machine())
+        slow_core = system.machine.spec.cores_of_socket(1)[0]
+        slow_vm = make_vm(system, "slow", core=slow_core, memory_node=1)
+        fast_vm = make_vm(system, "fast", core=0)
+        slow_ceiling = max_plausible_rate(system.machine.sockets[1].spec.freq_khz)
+        fast_ceiling = max_plausible_rate(system.machine.sockets[0].spec.freq_khz)
+        rate = (slow_ceiling + fast_ceiling) / 2
+        slow = ResilientMonitor(system, chain=[ScriptedMonitor(system, [rate])])
+        assert slow.sample(slow_vm) == 0.0  # rejected: the untrained fallback
+        assert slow.rejected_samples == 1
+        fast = ResilientMonitor(system, chain=[ScriptedMonitor(system, [rate])])
+        assert fast.sample(fast_vm) == rate
+        assert fast.rejected_samples == 0
 
     def test_spike_rejected_after_history_established(self):
         system = plain_system()

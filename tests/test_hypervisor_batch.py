@@ -15,11 +15,14 @@ with an idle core.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.perfmodel import CacheBehavior
+from repro.core.monitor import McSimReplayMonitor
 from repro.hardware.latency import PAPER_LATENCIES
 from repro.hardware.specs import CacheSpec, KIB, MIB, MachineSpec, SocketSpec
 from repro.hypervisor.system import VirtualizedSystem
@@ -413,6 +416,31 @@ class TestSocketFrequencyAccounting:
         # would have produced a different rate.
         wrong = vcpu.llc_misses / (vcpu.cycles_run / system.freq_khz)
         assert system.truth_llc_cap(vcpu) != wrong
+
+    def test_replay_monitor_uses_own_socket_frequency(self):
+        """Regression: the replay monitor converted the lead vCPU's
+        cycles to ms with socket 0's clock wherever the VM ran."""
+
+        class FixedRatioReplay:
+            def replay_vm(self, vm):
+                return SimpleNamespace(misses_per_kinst=2.5)
+
+        system = VirtualizedSystem(CreditScheduler(), hetero_machine())
+        slow_core = system.machine.spec.cores_of_socket(1)[0]
+        vm = make_vm(system, app="lbm", core=slow_core, memory_node=1)
+        system.run_ticks(10)
+        vcpu = vm.vcpus[0]
+        system.perfctr.flush_running(vcpu.gid)
+        account = system.perfctr.account(vcpu.gid)
+        cycles = account.read(PmcEvent.UNHALTED_CORE_CYCLES)
+        instructions = account.read(PmcEvent.INSTRUCTIONS_RETIRED)
+        assert cycles > 0
+        slow_khz = system.machine.sockets[1].spec.freq_khz
+        measured = McSimReplayMonitor(system, FixedRatioReplay()).sample(vm)
+        expected = instructions / (cycles / slow_khz) * 2.5 / 1000.0
+        assert measured == expected
+        wrong = instructions / (cycles / system.freq_khz) * 2.5 / 1000.0
+        assert measured != wrong
 
     def test_occupancy_of_unplaced_vcpu_reads_memory_node_socket(self):
         """Regression: a never-scheduled, unpinned vCPU homed on socket 1

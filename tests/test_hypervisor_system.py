@@ -85,8 +85,8 @@ class TestExecution:
         vm = make_vm(xcs_system)
         xcs_system.run_ticks(3)
         deltas = xcs_system.perfctr.sample(vm.vcpus[0].gid)
-        assert deltas[PmcEvent.UNHALTED_CORE_CYCLES] > 0
-        assert deltas[PmcEvent.INSTRUCTIONS_RETIRED] > 0
+        assert deltas.unhalted_core_cycles > 0
+        assert deltas.instructions_retired > 0
 
     def test_pmc_misses_match_truth_approximately(self, xcs_system):
         vm = make_vm(xcs_system, app="lbm")
@@ -94,7 +94,7 @@ class TestExecution:
         deltas = xcs_system.perfctr.sample(vm.vcpus[0].gid)
         truth = vm.vcpus[0].llc_misses
         # Integer carry: PMC within one count of the truth accumulator.
-        assert deltas[PmcEvent.LLC_MISSES] == pytest.approx(truth, abs=1.5)
+        assert deltas.llc_misses == pytest.approx(truth, abs=1.5)
 
     def test_ipc_reasonable(self, xcs_system):
         vm = make_vm(xcs_system, app="povray")
